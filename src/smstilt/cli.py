@@ -34,6 +34,12 @@ def _emit(args, payload, human: str) -> None:
         print(text)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _algebra(args) -> Algebra:
     return Algebra(args.n, args.ell)
 
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=sorted(transport._SUITES))
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     common(p, algebra=True)
     p.set_defaults(fn=cmd_verify)
 

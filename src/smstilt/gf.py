@@ -1,9 +1,10 @@
-"""Dense exact linear algebra over small prime fields GF(p).
+"""Exact linear algebra over small prime fields GF(p).
 
 All matrices are numpy int64 arrays with entries reduced mod p.  Sizes stay
-small (a few hundred rows at the very most), so plain Gaussian elimination
-is exact and fast enough.  p defaults to 2; p=3 is used for the cross-field
-checks.
+small (a few hundred rows at the very most).  p defaults to 2; p=3 is used
+for the cross-field checks.  Over GF(2) each row is packed into one Python
+int and eliminated with XOR (the M4RI-style elimination of Albrecht-Bard);
+every other p runs plain Gaussian elimination on the dense array.
 """
 
 from __future__ import annotations
@@ -17,12 +18,39 @@ def normalize(M, p: int = 2) -> np.ndarray:
     return A % p
 
 
-def rref(M, p: int = 2) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of M over GF(p).
+def _pack2(M: np.ndarray) -> list[int]:
+    """Rows of a 0/1 matrix as ints; bit c of a row is its column c."""
+    B = np.packbits(M, axis=1, bitorder="little")
+    data, width = B.tobytes(), B.shape[1]
+    if not width:
+        return []
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
-    Returns (R, pivots) where R holds only the nonzero rows and pivots[i]
-    is the pivot column of row i.
+
+def _basis2(rows: list[int]) -> dict[int, int]:
+    """Fully reduced basis {pivot column: row} of the span of packed rows.
+
+    Each stored row has its lowest set bit at its pivot and a zero in every
+    other pivot column, so sorting by pivot gives the reduced row echelon
+    form.
     """
+    basis: dict[int, int] = {}
+    for r in rows:
+        for c, b in basis.items():
+            if r >> c & 1:
+                r ^= b
+        if not r:
+            continue
+        c = (r & -r).bit_length() - 1
+        for k, b in basis.items():
+            if b >> c & 1:
+                basis[k] = b ^ r
+        basis[c] = r
+    return basis
+
+
+def _rref_dense(M, p: int) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan elimination on the dense array, for any prime p."""
     R = normalize(M, p).copy()
     rows, cols = R.shape
     pivots: list[int] = []
@@ -49,10 +77,31 @@ def rref(M, p: int = 2) -> tuple[np.ndarray, list[int]]:
     return R[:len(pivots)], pivots
 
 
+def rref(M, p: int = 2) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of M over GF(p).
+
+    Returns (R, pivots) where R holds only the nonzero rows and pivots[i]
+    is the pivot column of row i.
+    """
+    if p != 2:
+        return _rref_dense(M, p)
+    M = normalize(M, p)
+    cols = M.shape[1]
+    basis = _basis2(_pack2(M))
+    pivots = sorted(basis)
+    width = (cols + 7) // 8
+    data = b"".join(basis[c].to_bytes(width, "little") for c in pivots)
+    B = np.frombuffer(data, dtype=np.uint8).reshape(len(pivots), width)
+    R = np.unpackbits(B, axis=1, count=cols, bitorder="little").astype(np.int64)
+    return R, pivots
+
+
 def rank(M, p: int = 2) -> int:
     M = normalize(M, p)
     if M.size == 0:
         return 0
+    if p == 2:
+        return len(_basis2(_pack2(M)))
     return len(rref(M, p)[1])
 
 

@@ -253,14 +253,6 @@ def proj_cover(M: Ind, A: Algebra) -> tuple[Ind, ModMap]:
     return P, pi
 
 
-def injective_envelope(M: Ind, A: Algebra) -> tuple[Ind, ModMap]:
-    """Injective envelope (the projective with the same socle) and inclusion."""
-    check_ind(M, A)
-    I = Ind(M.socle, A.loewy)
-    iota = ModMap((M,), (I,), _hom_matrix(M, I, M.length))
-    return I, iota
-
-
 def _proj_cover_sum(N: ModSum, A: Algebra) -> tuple[ModSum, np.ndarray]:
     Ps = tuple(proj_of_top(top(b, A), A) for b in N)
     poffs, noffs = sum_offsets(Ps), sum_offsets(N)
@@ -315,12 +307,6 @@ def stable_reps(M, N, A: Algebra, p: int = 2) -> list[np.ndarray]:
         reps.append(f)
         reduced.append(w)
     return reps
-
-
-def is_stably_zero(g: ModMap, A: Algebra, p: int = 2) -> bool:
-    FR = factor_rows(g.source, g.target, A, p)
-    R, piv = gf.rref(FR, p)
-    return gf.in_rowspace(R, piv, g.matrix.reshape(-1), p)
 
 
 # ---------------------------------------------------------------------------

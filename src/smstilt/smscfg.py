@@ -168,12 +168,18 @@ def sms_mutate_tracked(C: Configuration, K, sign: str):
 
     Members of K are (co)syzygy-shifted; every other point is replaced by
     the cone over the minimal approximation into the extension closure of
-    K, following the triangle Omega X -> X' -> Y -> X.
+    K, following the triangle Omega X -> X' -> Y -> X.  Results are
+    memoised per process; the returned map is a fresh dict.
     """
+    result, mapping = _sms_mutate_cached(C, frozenset(tuple(q) for q in K), sign)
+    return result, dict(mapping)
+
+
+@lru_cache(maxsize=None)
+def _sms_mutate_cached(C: Configuration, Kset: frozenset, sign: str):
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be minus or plus, got {sign!r}")
     A = C.algebra
-    Kset = frozenset(tuple(q) for q in K)
     if not Kset <= set(C.points):
         raise ValueError("mutation subset is not contained in the configuration")
     if {nu_point(q, A) for q in Kset} != Kset:
@@ -204,7 +210,7 @@ def sms_mutate_tracked(C: Configuration, K, sign: str):
     result = Configuration(A, tuple(mapping.values()))
     if not is_configuration(result, A):
         raise RuntimeError("mutation produced an invalid configuration")
-    return result, mapping
+    return result, tuple(mapping.items())
 
 
 def sms_mutate(C: Configuration, K, sign: str) -> Configuration:

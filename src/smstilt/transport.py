@@ -88,8 +88,15 @@ def _anchor(sign: str, A: Algebra):
 def fmap_tracked(T: TwoTerm):
     """Transport the simple configuration along the canonical sequence.
 
-    Returns (configuration, correspondence summand -> point).
+    Returns (configuration, correspondence summand -> point).  Results are
+    memoised per process; the correspondence is a fresh dict.
     """
+    C, corr = _fmap_cached(T)
+    return C, dict(corr)
+
+
+@lru_cache(maxsize=None)
+def _fmap_cached(T: TwoTerm):
     if not complexes.is_tilting(T):
         raise ValueError("fmap is defined on two-term tilting complexes")
     A = T.algebra
@@ -99,8 +106,7 @@ def fmap_tracked(T: TwoTerm):
         K = {pairing[i] for i in orbit}
         C, rep = smscfg.sms_mutate_tracked(C, K, sign)
         pairing = {i: rep[pt] for i, pt in pairing.items()}
-    corr = {s: pairing[index_of_summand[s]] for s in T.summands}
-    return C, corr
+    return C, tuple((s, pairing[index_of_summand[s]]) for s in T.summands)
 
 
 def fmap(T: TwoTerm) -> Configuration:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from smstilt.cli import main
 
 
@@ -131,6 +133,14 @@ def test_verify_exit_codes(capsys):
     assert code == 0 and json.loads(out)["status"] == "pass"
     code, out, _ = run(capsys, "verify", "--suite", "bijection", "--n", "3", "--ell", "3", "--json")
     assert code == 0  # surjection non-bijection is the predicted behaviour
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_rejects_nonpositive_threads(capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "counts", "--n", "3", "--ell", "6", "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_usage_error_paths(capsys, tmp_path):

@@ -97,6 +97,23 @@ def test_mutation_validation():
         sms_mutate(simples(A42), {(1, 1)}, "minus")  # not Nakayama-stable
 
 
+def test_mutation_cache_safety():
+    C = simples(A36)
+    orbit = smscfg.nu_orbits_points(C)[0]
+    D, rep = sms_mutate_tracked(C, orbit, "minus")
+    want = dict(rep)
+    rep.clear()
+    for K in (list(orbit), set(orbit), frozenset(orbit), [list(q) for q in orbit]):
+        D2, rep2 = sms_mutate_tracked(C, K, "minus")
+        assert D2 is D and rep2 == want
+    A42 = Algebra(4, 2)
+    for _ in range(2):  # failures are not cached
+        with pytest.raises(ValueError):
+            sms_mutate_tracked(simples(A42), {(1, 1)}, "minus")  # not Nakayama-stable
+        with pytest.raises(ValueError):
+            sms_mutate_tracked(C, orbit, "sideways")
+
+
 def test_omega_insert_examples():
     B = Algebra(1, 2)
     C = Configuration(B, ((1, 1),))

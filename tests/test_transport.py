@@ -114,6 +114,18 @@ def test_correspondence_tracks_mutation():
             assert smscfg.sms_mutate(C, S, "minus").points == fmap(R).points
 
 
+def test_fmap_tracked_cache_safety():
+    T = two_term_objects(A36)[7]
+    C, corr = fmap_tracked(T)
+    want = dict(corr)
+    corr.clear()
+    C2, corr2 = fmap_tracked(T)
+    assert C2 is C and corr2 == want
+    for _ in range(2):  # failures are not cached
+        with pytest.raises(ValueError):
+            fmap_tracked(TwoTerm(A36, (Stalk(1, 0),)))
+
+
 def test_exchange_quivers():
     Q2 = exchange_quiver("2tilt", A36)
     Qs = exchange_quiver("sms", A36)
