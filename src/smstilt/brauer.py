@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .disc import Triangulation
-
-
-def _bar(i: int, e: int) -> int:
-    return (i - 1) % e + 1
+from .modcat import _bar
 
 
 def _label_key(label):

@@ -21,8 +21,10 @@ def _dump(obj) -> str:
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return json.loads(text)
+    if path == "-":
+        return json.loads(sys.stdin.read())
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _emit(args, payload, human: str) -> None:

@@ -11,11 +11,12 @@ algebra on the polynomial coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import disc, gf
-from .modcat import Algebra, _bar
+from .modcat import Algebra, _bar, _orbits
 
 
 @dataclass(frozen=True, order=True)
@@ -335,16 +336,7 @@ class HomSet:
 
     def basis(self) -> list[np.ndarray]:
         """Cycle representatives spanning Hom_K, independent mod boundaries."""
-        reps, reduced = [], []
-        for z in self.cycles:
-            w = gf.reduce_rows(self._br, self._bpiv, z)
-            if not w.any():
-                continue
-            if reduced and gf.in_rowspace(*gf.rref(np.array(reduced)), w):
-                continue
-            reps.append(z)
-            reduced.append(w)
-        return reps
+        return [self.cycles[k] for k in gf.independent_mod(self.boundaries, self.cycles)]
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         return gf.reduce_rows(self._br, self._bpiv, vec)
@@ -466,22 +458,8 @@ def is_tilting(T: TwoTerm) -> bool:
 
 def nu_orbits(T: TwoTerm) -> list[frozenset]:
     """Partition of the summands into Nakayama orbits."""
-    A = T.algebra
-    seen: set[Summand] = set()
-    orbits = []
-    for s in T.summands:
-        if s in seen:
-            continue
-        orbit = set()
-        x = s
-        while x not in orbit:
-            if x not in T.summands:
-                raise ValueError("complex is not Nakayama-stable")
-            orbit.add(x)
-            x = nu_summand(x, A)
-        seen |= orbit
-        orbits.append(frozenset(orbit))
-    return orbits
+    return _orbits(T.summands, lambda s: nu_summand(s, T.algebra),
+                   "complex is not Nakayama-stable")
 
 
 # -- the maps phi from triangulations ----------------------------------------
@@ -543,93 +521,68 @@ def _summand_complex(s: Summand, A: Algebra) -> ProjComplex:
     return from_twoterm(TwoTerm(A, (s,)))
 
 
-def _prune_approx(pieces, holds):
-    changed = True
-    while changed and pieces:
-        changed = False
-        for k in range(len(pieces)):
-            trial = pieces[:k] + pieces[k + 1:]
-            if holds(trial):
-                pieces = trial
-                changed = True
-                break
-    assert holds(pieces), "approximation property failed"
-    return pieces
+@lru_cache(maxsize=None)
+def _summand_homset(a: Summand, b: Summand, A: Algebra) -> HomSet:
+    """Hom_K between two single-summand complexes; callers must not mutate it."""
+    return HomSet(_summand_complex(a, A), _summand_complex(b, A))
 
 
-def _min_left_approx_complex(Xc: ProjComplex, targets: list[Summand], A: Algebra):
-    """Minimal left add(M)-approximation of X in the homotopy category.
+def _is_nilpotent(z: np.ndarray, HS: HomSet, A: Algebra) -> bool:
+    f = HS.to_map(z)
+    acc = f
+    for _ in range(len(HS.unknowns) + 1):
+        acc = compose_maps(acc, f, A)
+        if not HS.reduce(HS.from_map(acc)).any():
+            return True
+    return False
 
-    Starts from the full basis of stable maps into every target summand
-    and prunes greedily while every Hom_K(X, M_j) still factors through.
+
+@lru_cache(maxsize=None)
+def _summand_radical(a: Summand, b: Summand, A: Algebra) -> tuple[dict, ...]:
+    """Chain maps spanning the non-isomorphisms a -> b modulo homotopy."""
+    HS = _summand_homset(a, b, A)
+    basis = HS.basis()
+    if a != b:
+        return tuple(HS.to_map(z) for z in basis)
+    # radical of the local ring End(a) = its nilpotent classes
+    chis = [0 if _is_nilpotent(z, HS, A) else 1 for z in basis]
+    t0 = next((t for t, chi in enumerate(chis) if chi), None)
+    if t0 is None:
+        raise RuntimeError(f"no unit in the endomorphism ring of {a}")
+    return tuple(HS.to_map((z + chis[t] * basis[t0]) % 2)
+                 for t, z in enumerate(basis) if t != t0)
+
+
+def _irreducible_maps(a: Summand, b: Summand, mids, A: Algebra) -> list[dict]:
+    """Radical maps a -> b whose classes form a basis of rad(a, b) modulo
+    homotopy and the composites rad(c, b) . rad(a, c) over c in mids."""
+    HS = _summand_homset(a, b, A)
+    rad = _summand_radical(a, b, A)
+    if not rad:
+        return []
+    through = [HS.from_map(compose_maps(g, f, A)) for c in mids
+               for f in _summand_radical(a, c, A) for g in _summand_radical(c, b, A)]
+    ideal = np.concatenate([HS.boundaries,
+                            np.array(through, dtype=np.int64).reshape(-1, len(HS.unknowns))])
+    keep = gf.independent_mod(ideal, np.array([HS.from_map(f) for f in rad]))
+    return [rad[k] for k in keep]
+
+
+def _min_approx(s: Summand, rest, A: Algebra, left: bool):
+    """Minimal left (or right) add(rest)-approximation of the summand s in the
+    homotopy category, as (direct sum of summand complexes, chain map).
+
+    The components into (out of) m are a basis of Hom_K(s, m) modulo the
+    composites through rad(add rest), so no summand can be dropped.
     """
-    per_target: dict[Summand, HomSet] = {}
-    pieces: list[tuple[Summand, np.ndarray]] = []
-    for m in sorted(set(targets), key=lambda s: s.sort_key()):
-        HS = HomSet(Xc, _summand_complex(m, A))
-        per_target[m] = HS
-        for z in HS.basis():
-            pieces.append((m, z))
-
-    def assemble(items):
-        Mc, offs = direct_sum(A, [_summand_complex(m, A) for m, _ in items])
-        gmap: dict[tuple[int, int], np.ndarray] = {}
-        for (m, z), off in zip(items, offs):
-            for (ui, ti), p in per_target[m].to_map(z).items():
-                gmap[(ui + off, ti)] = p
-        return Mc, gmap
-
-    def holds(items) -> bool:
-        Mc, gmap = assemble(items)
-        for m, HS in per_target.items():
-            needed = [HS.reduce(z) for z in HS.basis()]
-            if not needed:
-                continue
-            UH = HomSet(Mc, _summand_complex(m, A))
-            rows = [HS.reduce(HS.from_map(compose_maps(UH.to_map(z), gmap, A)))
-                    for z in UH.cycles]
-            span = (np.array(rows, dtype=np.int64) if rows
-                    else np.zeros((0, len(HS.unknowns)), dtype=np.int64))
-            if gf.rank(np.concatenate([span, np.array(needed)])) != gf.rank(span):
-                return False
-        return True
-
-    return assemble(_prune_approx(pieces, holds))
-
-
-def _min_right_approx_complex(sources: list[Summand], Xc: ProjComplex, A: Algebra):
-    per_source: dict[Summand, HomSet] = {}
-    pieces: list[tuple[Summand, np.ndarray]] = []
-    for m in sorted(set(sources), key=lambda s: s.sort_key()):
-        HS = HomSet(_summand_complex(m, A), Xc)
-        per_source[m] = HS
-        for z in HS.basis():
-            pieces.append((m, z))
-
-    def assemble(items):
-        Mc, offs = direct_sum(A, [_summand_complex(m, A) for m, _ in items])
-        gmap: dict[tuple[int, int], np.ndarray] = {}
-        for (m, z), off in zip(items, offs):
-            for (ui, ti), p in per_source[m].to_map(z).items():
-                gmap[(ui, ti + off)] = p
-        return Mc, gmap
-
-    def holds(items) -> bool:
-        Mc, gmap = assemble(items)
-        for m, HS in per_source.items():
-            needed = [HS.reduce(z) for z in HS.basis()]
-            if not needed:
-                continue
-            UH = HomSet(_summand_complex(m, A), Mc)
-            rows = [HS.reduce(HS.from_map(compose_maps(gmap, UH.to_map(z), A)))
-                    for z in UH.cycles]
-            span = (np.array(rows, dtype=np.int64) if rows
-                    else np.zeros((0, len(HS.unknowns)), dtype=np.int64))
-            if gf.rank(np.concatenate([span, np.array(needed)])) != gf.rank(span):
-                return False
-        return True
-
-    return assemble(_prune_approx(pieces, holds))
+    items = [(m, f) for m in sorted(set(rest), key=lambda x: x.sort_key())
+             for f in _irreducible_maps(*((s, m) if left else (m, s)), rest, A)]
+    Mc, offs = direct_sum(A, [_summand_complex(m, A) for m, _ in items])
+    gmap: dict[tuple[int, int], np.ndarray] = {}
+    for (_, f), off in zip(items, offs):
+        for (ui, ti), p in f.items():
+            gmap[(ui + off, ti) if left else (ui, ti + off)] = p
+    return Mc, gmap
 
 
 def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
@@ -659,11 +612,10 @@ def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
     replaced: dict[Summand, Summand] = {}
     for s in sorted(orbit, key=lambda x: x.sort_key()):
         Xc = _summand_complex(s, A)
+        Mc, gmap = _min_approx(s, rest, A, left=sign == "minus")
         if sign == "minus":
-            Mc, gmap = _min_left_approx_complex(Xc, rest, A)
             U = normalize(cone(gmap, Xc, Mc))
         else:
-            Mc, gmap = _min_right_approx_complex(rest, Xc, A)
             U = normalize(shift(minimize(cone(gmap, Mc, Xc)), -1))
         if U is None:
             return None, None
@@ -682,61 +634,14 @@ def two_term_mutate(T: TwoTerm, orbit, sign: str) -> TwoTerm | None:
 
 # -- endomorphism quiver -------------------------------------------------------
 
-def _is_nilpotent(z: np.ndarray, HS: HomSet, A: Algebra) -> bool:
-    f = HS.to_map(z)
-    acc = f
-    for _ in range(len(HS.unknowns) + 1):
-        acc = compose_maps(acc, f, A)
-        if not HS.reduce(HS.from_map(acc)).any():
-            return True
-    return False
-
-
 def end_quiver(T: TwoTerm) -> dict[tuple[Summand, Summand], int]:
     """Arrow counts dim rad/rad^2 of End(T) between the summands of T."""
     if not is_tilting(T):
         raise ValueError("end_quiver requires a tilting complex")
-    A = T.algebra
-    comps = {s: _summand_complex(s, A) for s in T.summands}
-    homsets = {(a, b): HomSet(comps[a], comps[b])
-               for a in T.summands for b in T.summands}
-
-    rad_maps: dict[tuple[Summand, Summand], list] = {}
-    for (a, b), HS in homsets.items():
-        basis = HS.basis()
-        if a != b:
-            rad_maps[(a, b)] = [HS.to_map(z) for z in basis]
-            continue
-        # radical of the local ring End(T_a) = its nilpotent classes
-        chis = [0 if _is_nilpotent(z, HS, A) else 1 for z in basis]
-        t0 = next((t for t, chi in enumerate(chis) if chi), None)
-        assert t0 is not None, "no unit in an endomorphism ring"
-        rad = []
-        for t, z in enumerate(basis):
-            if t == t0:
-                continue
-            rad.append(HS.to_map((z + chis[t] * basis[t0]) % 2))
-        rad_maps[(a, a)] = rad
-
     arrows: dict[tuple[Summand, Summand], int] = {}
     for a in T.summands:
         for b in T.summands:
-            HS = homsets[(a, b)]
-            rows = [HS.reduce(HS.from_map(f)) for f in rad_maps[(a, b)]]
-            rows = [r for r in rows if r.any()]
-            dim_rad = gf.rank(np.array(rows)) if rows else 0
-            if dim_rad == 0:
-                continue
-            sq = []
-            for cmid in T.summands:
-                for f in rad_maps[(a, cmid)]:
-                    for g in rad_maps[(cmid, b)]:
-                        comp = compose_maps(g, f, A)
-                        red = HS.reduce(HS.from_map(comp))
-                        if red.any():
-                            sq.append(red)
-            dim_sq = gf.rank(np.array(sq)) if sq else 0
-            count = dim_rad - dim_sq
+            count = len(_irreducible_maps(a, b, T.summands, T.algebra))
             if count:
                 arrows[(a, b)] = count
     return arrows

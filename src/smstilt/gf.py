@@ -27,25 +27,31 @@ def _pack2(M: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
-def _basis2(rows: list[int]) -> dict[int, int]:
-    """Fully reduced basis {pivot column: row} of the span of packed rows.
+def _insert2(basis: dict[int, int], r: int) -> bool:
+    """Add the packed row r to a fully reduced basis {pivot column: row}.
 
     Each stored row has its lowest set bit at its pivot and a zero in every
     other pivot column, so sorting by pivot gives the reduced row echelon
-    form.
+    form.  Returns whether r was independent of the basis.
     """
+    for c, b in basis.items():
+        if r >> c & 1:
+            r ^= b
+    if not r:
+        return False
+    c = (r & -r).bit_length() - 1
+    for k, b in basis.items():
+        if b >> c & 1:
+            basis[k] = b ^ r
+    basis[c] = r
+    return True
+
+
+def _basis2(rows: list[int]) -> dict[int, int]:
+    """Fully reduced basis of the span of packed rows."""
     basis: dict[int, int] = {}
     for r in rows:
-        for c, b in basis.items():
-            if r >> c & 1:
-                r ^= b
-        if not r:
-            continue
-        c = (r & -r).bit_length() - 1
-        for k, b in basis.items():
-            if b >> c & 1:
-                basis[k] = b ^ r
-        basis[c] = r
+        _insert2(basis, r)
     return basis
 
 
@@ -129,26 +135,28 @@ def reduce_rows(R: np.ndarray, pivots: list[int], v, p: int = 2) -> np.ndarray:
     return w
 
 
-def in_rowspace(R: np.ndarray, pivots: list[int], v, p: int = 2) -> bool:
-    return not reduce_rows(R, pivots, v, p).any()
+def independent_mod(span, candidates, p: int = 2) -> list[int]:
+    """Indices of the candidate rows that are independent modulo the row
+    span of `span`, chosen greedily in order: row k is kept when it is not
+    in the span of `span` and the candidates kept before it.
 
-
-def solve(A, b, p: int = 2):
-    """One solution x of A x = b over GF(p), or None if inconsistent.
-
-    Free variables are set to zero, so the result is deterministic.
+    Both arguments are 2-d with the same number of columns; the kept rows
+    form a basis of (span + candidates) / span.
     """
-    A = normalize(A, p)
-    b = np.asarray(b, dtype=np.int64).reshape(-1) % p
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
-    R, pivots = rref(aug, p)
-    ncols = A.shape[1]
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, ncols]
-    return x
+    keep: list[int] = []
+    if p == 2:
+        basis = _basis2(_pack2(normalize(span, p)))
+        for k, r in enumerate(_pack2(normalize(candidates, p))):
+            if _insert2(basis, r):
+                keep.append(k)
+        return keep
+    R, piv = rref(span, p)
+    for k, v in enumerate(normalize(candidates, p)):
+        w = reduce_rows(R, piv, v, p)
+        if w.any():
+            keep.append(k)
+            R, piv = rref(np.concatenate([R, w[None]]), p)
+    return keep
 
 
 def intersection_dim(A, B, p: int = 2) -> int:

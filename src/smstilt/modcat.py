@@ -121,19 +121,29 @@ def nu(M: Ind, A: Algebra) -> Ind:
     return Ind(_bar(M.socle - A.ell, A.n), M.length)
 
 
+def _orbits(items, step, error: str) -> list[frozenset]:
+    """Cycles of the permutation `step` on `items`, in order of first
+    member; raises ValueError(error) when `step` leaves `items`."""
+    seen: set = set()
+    orbits = []
+    for x in items:
+        if x in seen:
+            continue
+        orbit = set()
+        while x not in orbit:
+            if x not in items:
+                raise ValueError(error)
+            orbit.add(x)
+            x = step(x)
+        seen |= orbit
+        orbits.append(frozenset(orbit))
+    return orbits
+
+
 def nu_cycle_count(A: Algebra) -> int:
     """Number of cycles of i -> i - ell on Z/n (equals gcd(n, ell))."""
-    seen: set[int] = set()
-    cycles = 0
-    for i in range(1, A.n + 1):
-        if i in seen:
-            continue
-        cycles += 1
-        j = i
-        while j not in seen:
-            seen.add(j)
-            j = _bar(j - A.ell, A.n)
-    return cycles
+    return len(_orbits(range(1, A.n + 1), lambda i: _bar(i - A.ell, A.n),
+                       "nu does not permute Z/n"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +305,11 @@ def stable_hom_dim(M, N, A: Algebra, p: int = 2) -> int:
 def stable_reps(M, N, A: Algebra, p: int = 2) -> list[np.ndarray]:
     """Hom-basis elements spanning Hom(M, N) modulo the factoring subspace."""
     Ms, Ns = as_sum(M), as_sum(N)
-    FR = factor_rows(Ms, Ns, A, p)
-    R, piv = gf.rref(FR, p)
-    reps, reduced = [], []
-    for f in hom_basis(Ms, Ns, A):
-        w = gf.reduce_rows(R, piv, f.reshape(-1), p)
-        if not w.any():
-            continue
-        if reduced and gf.in_rowspace(*gf.rref(np.array(reduced), p), w, p):
-            continue
-        reps.append(f)
-        reduced.append(w)
-    return reps
+    basis = hom_basis(Ms, Ns, A)
+    if not basis:
+        return []
+    rows = np.array([f.reshape(-1) for f in basis])
+    return [basis[k] for k in gf.independent_mod(factor_rows(Ms, Ns, A, p), rows, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,106 +405,52 @@ def cone_of_stable_map(g: ModMap, A: Algebra, p: int = 2) -> ModSum:
 # Minimal approximations.
 # ---------------------------------------------------------------------------
 
-def _left_approx_holds(Z: ModSum, Xs: ModSum, gmat: np.ndarray, targets, A: Algebra, p: int) -> bool:
-    for c in targets:
-        homs = hom_basis(Z, c, A)
-        if not homs:
+def _radical(M: Ind, N: Ind, A: Algebra) -> list[np.ndarray]:
+    """Hom-basis elements spanning the non-isomorphisms M -> N.
+
+    For M = N the identity is the last basis map (overlap t = length).
+    """
+    basis = hom_basis(M, N, A)
+    return basis[:-1] if M == N else basis
+
+
+def _min_approx(Z: Ind, C, A: Algebra, p: int, left: bool) -> ModMap:
+    """Minimal left (or right) add(C)-approximation of Z, computed directly.
+
+    The multiplicity of c in C is the dimension of stable Hom(Z, c) modulo
+    the radical composites rad(c', c) . Hom(Z, c') over c' in C (dually
+    Hom(c', Z) . rad(c, c')), and a basis of that quotient gives the
+    components of the map.
+    """
+    check_ind(Z, A)
+    cs = sorted(set(C))
+    pair = {c: ((Z,), (c,)) if left else ((c,), (Z,)) for c in cs}
+    reps = {c: stable_reps(*pair[c], A, p) for c in cs}
+    pieces: list[tuple[Ind, np.ndarray]] = []
+    for c in cs:
+        if not reps[c]:
             continue
-        width = homs[0].size
-        rows = [((u @ gmat) % p).reshape(-1) for u in hom_basis(Xs, (c,), A)]
-        span = (np.array(rows, dtype=np.int64) if rows
-                else np.zeros((0, width), dtype=np.int64))
-        span = np.concatenate([span, factor_rows(Z, (c,), A, p)])
-        base = gf.rank(span, p)
-        full = gf.rank(np.concatenate([span, np.array([h.reshape(-1) for h in homs])]), p)
-        if full != base:
-            return False
-    return True
+        ideal = [factor_rows(*pair[c], A, p)]
+        for c2 in cs:
+            for u in (_radical(c2, c, A) if left else _radical(c, c2, A)):
+                ideal.extend(((u @ f if left else f @ u) % p).reshape(1, -1) for f in reps[c2])
+        rows = np.array([f.reshape(-1) for f in reps[c]])
+        pieces.extend((c, reps[c][k]) for k in gf.independent_mod(np.concatenate(ideal), rows, p))
+    Xs = tuple(c for c, _ in pieces)
+    mat = (np.concatenate([f for _, f in pieces], axis=0 if left else 1) if pieces
+           else np.zeros((0, Z.length) if left else (Z.length, 0), dtype=np.int64))
+    return ModMap((Z,), Xs, mat) if left else ModMap(Xs, (Z,), mat)
 
 
 def min_left_approx(Z: Ind, C, A: Algebra, p: int = 2) -> ModMap:
-    """Minimal left approximation of Z into direct sums from the set C.
-
-    Built from stable-hom representatives (so each ind of C occurs at most
-    dim Hom(Z, c) times) and then pruned greedily while the factorisation
-    property persists; every stable map Z -> c, c in C, factors through
-    the result.
-    """
-    check_ind(Z, A)
-    targets = sorted(set(C))
-    pieces: list[tuple[Ind, np.ndarray]] = []
-    for c in targets:
-        for rep in stable_reps((Z,), (c,), A, p):
-            pieces.append((c, rep))
-
-    def assemble(items):
-        Xs = tuple(c for c, _ in items)
-        mat = (np.concatenate([r for _, r in items]) if items
-               else np.zeros((0, Z.length), dtype=np.int64))
-        return Xs, mat
-
-    changed = True
-    while changed and pieces:
-        changed = False
-        for k in range(len(pieces)):
-            trial = pieces[:k] + pieces[k + 1:]
-            Xs, mat = assemble(trial)
-            if _left_approx_holds((Z,), Xs, mat, targets, A, p):
-                pieces = trial
-                changed = True
-                break
-    Xs, mat = assemble(pieces)
-    if not _left_approx_holds((Z,), Xs, mat, targets, A, p):
-        raise RuntimeError("left approximation property failed; bound exhausted")
-    return ModMap((Z,), Xs, mat)
-
-
-def _right_approx_holds(Z: ModSum, Xs: ModSum, gmat: np.ndarray, sources, A: Algebra, p: int) -> bool:
-    for c in sources:
-        homs = hom_basis(c, Z, A)
-        if not homs:
-            continue
-        width = homs[0].size
-        rows = [((gmat @ v) % p).reshape(-1) for v in hom_basis((c,), Xs, A)]
-        span = (np.array(rows, dtype=np.int64) if rows
-                else np.zeros((0, width), dtype=np.int64))
-        span = np.concatenate([span, factor_rows((c,), Z, A, p)])
-        base = gf.rank(span, p)
-        full = gf.rank(np.concatenate([span, np.array([h.reshape(-1) for h in homs])]), p)
-        if full != base:
-            return False
-    return True
+    """Minimal left approximation Z -> X with X a direct sum from the set C:
+    every stable map Z -> c, c in C, factors through it."""
+    return _min_approx(Z, C, A, p, left=True)
 
 
 def min_right_approx(C, Z: Ind, A: Algebra, p: int = 2) -> ModMap:
-    """Minimal right approximation onto Z from direct sums in the set C."""
-    check_ind(Z, A)
-    sources = sorted(set(C))
-    pieces: list[tuple[Ind, np.ndarray]] = []
-    for c in sources:
-        for rep in stable_reps((c,), (Z,), A, p):
-            pieces.append((c, rep))
-
-    def assemble(items):
-        Xs = tuple(c for c, _ in items)
-        mat = (np.concatenate([r for _, r in items], axis=1) if items
-               else np.zeros((Z.length, 0), dtype=np.int64))
-        return Xs, mat
-
-    changed = True
-    while changed and pieces:
-        changed = False
-        for k in range(len(pieces)):
-            trial = pieces[:k] + pieces[k + 1:]
-            Xs, mat = assemble(trial)
-            if _right_approx_holds((Z,), Xs, mat, sources, A, p):
-                pieces = trial
-                changed = True
-                break
-    Xs, mat = assemble(pieces)
-    if not _right_approx_holds((Z,), Xs, mat, sources, A, p):
-        raise RuntimeError("right approximation property failed; bound exhausted")
-    return ModMap(Xs, (Z,), mat)
+    """Minimal right approximation X -> Z with X a direct sum from the set C."""
+    return _min_approx(Z, C, A, p, left=False)
 
 
 # ---------------------------------------------------------------------------

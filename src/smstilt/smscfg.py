@@ -143,22 +143,8 @@ def nu_point(p: Point, A: Algebra) -> Point:
 
 
 def nu_orbits_points(C: Configuration) -> list[frozenset]:
-    A = C.algebra
-    seen: set[Point] = set()
-    orbits = []
-    for p in C.points:
-        if p in seen:
-            continue
-        orb = set()
-        q = p
-        while q not in orb:
-            if q not in C.points:
-                raise ValueError("configuration is not Nakayama-stable")
-            orb.add(q)
-            q = nu_point(q, A)
-        seen |= orb
-        orbits.append(frozenset(orb))
-    return orbits
+    return modcat._orbits(C.points, lambda q: nu_point(q, C.algebra),
+                          "configuration is not Nakayama-stable")
 
 
 # -- mutation -----------------------------------------------------------------
@@ -310,16 +296,7 @@ def tilde(C: Configuration) -> Configuration:
     e = A.e
     if A.n != e or A.ell % e != 0:
         raise ValueError(f"tilde needs a configuration over A_e^{{em}}, got A_{A.n}^{A.ell}")
-    m = A.ell // e
-    pts = []
-    for x, y in C.points:
-        if 1 <= y <= e:
-            pts.append((x, y))
-        elif e * (m - 1) + 1 <= y <= e * m:
-            pts.append((x, y - e * (m - 1)))
-        else:
-            raise ValueError(f"point ({x},{y}) outside the admissible bands")
-    return Configuration(Algebra(e, e), tuple(pts))
+    return Configuration(Algebra(e, e), tuple(tilde_point(p, A) for p in C.points))
 
 
 def tilde_point(p: Point, A: Algebra) -> Point:

@@ -62,6 +62,18 @@ def test_unfold_fold_and_symmetry_error(capsys, tmp_path):
     assert code == 2 and "symmetric" in err
 
 
+# An unclosed file warns from its finaliser, where pytest can only report
+# it as an unraisable-exception warning; both are made errors here.
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
+def test_in_file_is_closed(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"e": 3, "arcs": [{"kind": "projective", "terminal": i}
+                                                 for i in (1, 2, 3)]}))
+    code, _, _ = run(capsys, "psi", "--sign", "minus", "--in", str(path), "--json")
+    assert code == 0
+
+
 def test_psi_kauer_round_trip(capsys, tmp_path):
     tri = {"e": 3, "arcs": [{"kind": "projective", "terminal": i} for i in (1, 2, 3)]}
     path = tmp_path / "t.json"

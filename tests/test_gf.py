@@ -17,15 +17,6 @@ def test_nullspace_is_kernel():
         assert not ((M @ N.T) % p).any()
 
 
-def test_solve_and_reduce():
-    A = np.array([[1, 0, 1], [0, 1, 1]])
-    b = np.array([1, 1])
-    x = gf.solve(A, b, 2)
-    assert x is not None and not ((A @ x - b) % 2).any()
-    assert gf.solve(np.array([[1, 1]]), np.array([1]), 2) is not None
-    assert gf.solve(np.zeros((1, 2), dtype=int), np.array([1]), 2) is None
-
-
 def test_intersection_dim():
     A = np.array([[1, 0, 0], [0, 1, 0]])
     B = np.array([[0, 1, 0], [0, 0, 1]])
@@ -59,3 +50,28 @@ def test_gf2_kernel_matches_dense_elimination(monkeypatch):
             want = len(gf._rref_dense(A, 2)[1]) + len(gf._rref_dense(B, 2)[1]) \
                 - len(gf._rref_dense(np.concatenate([A, B]), 2)[1])
             assert gf.intersection_dim(A, B, 2) == want
+
+
+def test_independent_mod_matches_reduce_loop():
+    # the quotient-basis helper against the loop it replaced: reduce each
+    # candidate modulo the span, keep it unless it lies in the span of the
+    # reductions kept so far
+    rng = np.random.default_rng(20130420)
+    for p in (2, 3):
+        for _ in range(500):
+            cols = int(rng.integers(0, 12))
+            span = rng.integers(0, p, (int(rng.integers(0, 5)), cols)) * (rng.random() < 0.7)
+            cands = rng.integers(0, p, (int(rng.integers(0, 7)), cols)) * (rng.random() < 0.8)
+            if len(cands) > 2:  # force a dependent candidate
+                cands[-1] = (cands[0] + (p - 1) * cands[1]) % p
+            R, piv = gf.rref(span, p)
+            want, reduced = [], []
+            for k, v in enumerate(cands):
+                w = gf.reduce_rows(R, piv, v, p)
+                if not w.any():
+                    continue
+                if reduced and not gf.reduce_rows(*gf.rref(np.array(reduced), p), w, p).any():
+                    continue
+                want.append(k)
+                reduced.append(w)
+            assert gf.independent_mod(span, cands, p) == want

@@ -1,12 +1,15 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
 from smstilt import gf, modcat
 from smstilt.modcat import (Algebra, Ind, ModMap, cone_of_stable_map,
                             extension_closure, extension_middle_terms,
-                            hom_basis, hom_dim, min_left_approx, nu, omega,
-                            omega_inv, proj_cover, proj_of_top,
-                            stable_hom_dim, tau)
+                            hom_basis, hom_dim, min_left_approx,
+                            min_right_approx, nu, omega, omega_inv,
+                            proj_cover, proj_of_top, stable_hom_dim, tau)
+from smstilt.smscfg import enumerate_configurations, nu_orbits_points
 
 A36 = Algebra(3, 6)
 A44 = Algebra(4, 4)
@@ -209,26 +212,61 @@ def test_min_left_approx_trivial_cases():
     assert gf.rank(g.matrix) == 1
 
 
-def test_min_left_approx_universality_exhaustive():
-    from itertools import product
-    Z = Ind(2, 4)  # = Omega S_2 over A_2^4
-    B = Algebra(2, 4)
-    C = [Ind(1, 1)]
-    g = min_left_approx(Z, C, B)
-    # every stable map Z -> S_1 (+ S_1) factors through g, exhaustively
+def _factors_through(g: ModMap, Z: Ind, C, A: Algebra, left: bool) -> bool:
+    """Exhaustively: every map Z -> c (left) or c -> Z (right), c in C, lies
+    in the span of the maps through g and those through a projective."""
     for c in C:
-        basis = hom_basis((Z,), (c,), B)
-        FR = modcat.factor_rows((Z,), (c,), B)
-        ubasis = hom_basis(g.target, (c,), B)
-        span = [((u @ g.matrix) % 2).reshape(-1) for u in ubasis]
-        span = np.array(span + list(FR)) if span or FR.size else None
+        if left:
+            basis = hom_basis((Z,), (c,), A)
+            span = [((u @ g.matrix) % 2).reshape(-1) for u in hom_basis(g.target, (c,), A)]
+            FR = modcat.factor_rows((Z,), (c,), A)
+        else:
+            basis = hom_basis((c,), (Z,), A)
+            span = [((g.matrix @ v) % 2).reshape(-1) for v in hom_basis((c,), g.source, A)]
+            FR = modcat.factor_rows((c,), (Z,), A)
+        if not basis:
+            continue
+        span = np.concatenate([np.array(span, dtype=np.int64).reshape(-1, basis[0].size), FR])
+        base = gf.rank(span)
         for coeffs in product(range(2), repeat=len(basis)):
-            h = np.zeros_like(basis[0]) if basis else None
-            for cf, f in zip(coeffs, basis):
-                h = (h + cf * f) % 2
-            if h is None:
-                continue
-            assert gf.solve(span.T, h.reshape(-1)) is not None
+            h = sum(cf * f for cf, f in zip(coeffs, basis)) % 2
+            if gf.rank(np.concatenate([span, h.reshape(1, -1)])) != base:
+                return False
+    return True
+
+
+def _drop_summand(g: ModMap, k: int, left: bool) -> ModMap:
+    X = g.target if left else g.source
+    offs = modcat.sum_offsets(X)
+    keep = [i for i in range(offs[-1]) if not offs[k] <= i < offs[k + 1]]
+    X2 = X[:k] + X[k + 1:]
+    if left:
+        return ModMap(g.source, X2, g.matrix[keep])
+    return ModMap(X2, g.target, g.matrix[:, keep])
+
+
+@pytest.mark.parametrize("n, ell, most", [(2, 4, 2), (3, 3, 3), (3, 6, 1)],
+                         ids=["A_2^4", "A_3^3", "A_3^6"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_min_approx_universality_exhaustive(side, n, ell, most):
+    # C runs over the extension closures of the Nakayama-stable subsets of
+    # configurations that are unions of at most `most` orbits (all of them
+    # on the two small algebras), Z over all non-projective modules: the
+    # approximation is universal, and dropping any one summand loses a map
+    A, left = Algebra(n, ell), side == "left"
+    classes = set()
+    for S in enumerate_configurations(A):
+        orbits = nu_orbits_points(S)
+        for r in range(1, most + 1):
+            for Ks in combinations(orbits, r):
+                K = sorted(Ind(*q) for orbit in Ks for q in orbit)
+                classes.add(modcat.closure_inds(tuple(K), A))
+    for C in sorted(classes):
+        for Z in modcat.nonprojective_inds(A):
+            g = min_left_approx(Z, C, A) if left else min_right_approx(C, Z, A)
+            assert _factors_through(g, Z, C, A, left)
+            for k in range(len(g.target if left else g.source)):
+                assert not _factors_through(_drop_summand(g, k, left), Z, C, A, left)
 
 
 def test_extension_middle_terms_examples():
