@@ -23,8 +23,24 @@ def _pack2(M: np.ndarray) -> list[int]:
     B = np.packbits(M, axis=1, bitorder="little")
     data, width = B.tobytes(), B.shape[1]
     if not width:
-        return []
+        return [0] * len(M)
     return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+
+def _unpack2(rows: list[int], cols: int) -> np.ndarray:
+    """Inverse of _pack2: the 0/1 matrix with the given packed rows."""
+    width = (cols + 7) // 8
+    data = b"".join(r.to_bytes(width, "little") for r in rows)
+    B = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(B, axis=1, count=cols, bitorder="little").astype(np.int64)
+
+
+def _reduce2(basis: dict[int, int], r: int) -> int:
+    """The packed row r reduced modulo a fully reduced basis, in one pass."""
+    for c, b in basis.items():
+        if r >> c & 1:
+            r ^= b
+    return r
 
 
 def _insert2(basis: dict[int, int], r: int) -> bool:
@@ -34,9 +50,7 @@ def _insert2(basis: dict[int, int], r: int) -> bool:
     other pivot column, so sorting by pivot gives the reduced row echelon
     form.  Returns whether r was independent of the basis.
     """
-    for c, b in basis.items():
-        if r >> c & 1:
-            r ^= b
+    r = _reduce2(basis, r)
     if not r:
         return False
     c = (r & -r).bit_length() - 1
@@ -92,14 +106,9 @@ def rref(M, p: int = 2) -> tuple[np.ndarray, list[int]]:
     if p != 2:
         return _rref_dense(M, p)
     M = normalize(M, p)
-    cols = M.shape[1]
     basis = _basis2(_pack2(M))
     pivots = sorted(basis)
-    width = (cols + 7) // 8
-    data = b"".join(basis[c].to_bytes(width, "little") for c in pivots)
-    B = np.frombuffer(data, dtype=np.uint8).reshape(len(pivots), width)
-    R = np.unpackbits(B, axis=1, count=cols, bitorder="little").astype(np.int64)
-    return R, pivots
+    return _unpack2([basis[c] for c in pivots], M.shape[1]), pivots
 
 
 def rank(M, p: int = 2) -> int:
@@ -135,6 +144,17 @@ def reduce_rows(R: np.ndarray, pivots: list[int], v, p: int = 2) -> np.ndarray:
     return w
 
 
+def reduce_mod(span, vectors, p: int = 2) -> tuple[list[int], np.ndarray]:
+    """Pivot columns of the row span of `span`, and the rows of `vectors`
+    reduced modulo that span (each zero in every pivot column)."""
+    V = normalize(vectors, p)
+    if p == 2:
+        basis = _basis2(_pack2(normalize(span, p)))
+        return sorted(basis), _unpack2([_reduce2(basis, r) for r in _pack2(V)], V.shape[1])
+    R, piv = rref(span, p)
+    return piv, np.array([reduce_rows(R, piv, v, p) for v in V], dtype=np.int64).reshape(V.shape)
+
+
 def independent_mod(span, candidates, p: int = 2) -> list[int]:
     """Indices of the candidate rows that are independent modulo the row
     span of `span`, chosen greedily in order: row k is kept when it is not
@@ -158,13 +178,3 @@ def independent_mod(span, candidates, p: int = 2) -> list[int]:
             R, piv = rref(np.concatenate([R, w[None]]), p)
     return keep
 
-
-def intersection_dim(A, B, p: int = 2) -> int:
-    """Dimension of (row space of A) ∩ (row space of B)."""
-    A = normalize(A, p)
-    B = normalize(B, p)
-    if A.size == 0 or B.size == 0:
-        return 0
-    ra, rb = rank(A, p), rank(B, p)
-    rsum = rank(np.concatenate([A, B]), p)
-    return ra + rb - rsum

@@ -225,14 +225,15 @@ def hom_basis(M, N, A: Algebra) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class ModMap:
-    """A module map between formal direct sums, as one dense matrix."""
+    """A module map between formal direct sums, as one dense matrix over GF(p)."""
 
     source: ModSum
     target: ModSum
     matrix: np.ndarray
+    p: int = 2
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.int64) % 2
+        m = np.asarray(self.matrix, dtype=np.int64) % self.p
         object.__setattr__(self, "matrix", m)
         if m.shape != (sum_dim(self.target), sum_dim(self.source)):
             raise ValueError("matrix shape does not match source/target")
@@ -246,7 +247,7 @@ class ModMap:
                 if self.matrix[r, c] and vt[r] != vs[c]:
                     raise ValueError("map does not respect the vertex grading")
         Ds, Dt = shift_matrix(self.source), shift_matrix(self.target)
-        if ((Dt @ self.matrix - self.matrix @ Ds) % 2).any():
+        if ((Dt @ self.matrix - self.matrix @ Ds) % self.p).any():
             raise ValueError("map does not intertwine the radical action")
 
 
@@ -319,55 +320,42 @@ def stable_reps(M, N, A: Algebra, p: int = 2) -> list[np.ndarray]:
 def decompose(vertexvec: list[int], D: np.ndarray, A: Algebra, p: int = 2) -> dict[Ind, int]:
     """Multiplicities of the uniserial summands of (V, D).
 
-    V is given by a vertex label per basis vector and the graded nilpotent
-    D.  The multiplicity of Ind(i, l) is
-      dim(Soc_i ∩ im D^{l-1}) - dim(Soc_i ∩ im D^l)
-    where Soc_i is the vertex-i part of ker D.
+    V is given by a vertex label in 1..n per basis vector and D, which
+    sends vertex i to vertex i+1.  With H(j, k) the vertex-j dimension of
+    rad^k V = im D^k, which adds over direct sums, H(j, k) - H(j+1, k+1)
+    counts the summands with socle j and length > k, and the multiplicity
+    of Ind(j, l) is the difference of two such counts.  Raises ValueError
+    when D is not graded, or not nilpotent of index at most A.loewy.
     """
-    dim = len(vertexvec)
-    if dim == 0:
-        return {}
-    L = A.loewy
-    images = [np.eye(dim, dtype=np.int64)]
-    Dk = np.eye(dim, dtype=np.int64)
-    for _ in range(L):
-        Dk = (D @ Dk) % p
-        images.append(Dk.T.copy())  # rows span the image of D^k
-
-    soc: dict[int, np.ndarray] = {}
-    for i in range(1, A.n + 1):
-        off = [r for r in range(dim) if vertexvec[r] != i]
-        sel = np.zeros((len(off), dim), dtype=np.int64)
-        for k, r in enumerate(off):
-            sel[k, r] = 1
-        soc[i] = gf.nullspace(np.concatenate([D, sel]) if len(off) else D, p)
-
-    mult: dict[Ind, int] = {}
-    for i in range(1, A.n + 1):
-        if soc[i].shape[0] == 0:
-            continue
-        dims = [gf.intersection_dim(soc[i], images[k], p) for k in range(L + 1)]
-        for l in range(1, L + 1):
-            m = dims[l - 1] - dims[l]
-            if m:
-                mult[Ind(i, l)] = m
-    assert sum(k.length * v for k, v in mult.items()) == dim
-    return mult
+    n, L = A.n, A.loewy
+    vv = np.asarray(vertexvec, dtype=np.int64)
+    DT = D.T % p  # row c is the image of basis vector c
+    if DT[vv[:, None] % n + 1 != vv[None, :]].any():
+        raise ValueError("decompose: D does not send vertex i to vertex i+1")
+    H = np.zeros((n, L + 2), dtype=np.int64)
+    H[:, 0] = np.bincount(vv - 1, minlength=n)
+    R = DT
+    for k in range(1, L + 1):
+        # the rows of R span rad^k V, and each lies inside one vertex
+        R, piv = gf.rref(R, p)
+        if not piv:
+            break
+        H[:, k] = np.bincount(vv[piv] - 1, minlength=n)
+        R = (R @ DT) % p
+    longer = H[:, :-1] - np.roll(H, -1, axis=0)[:, 1:]  # [j-1, k]: socle j, length > k
+    mult = longer[:, :-1] - longer[:, 1:]  # [j-1, l-1]: multiplicity of Ind(j, l)
+    if (mult < 0).any() or (mult * np.arange(1, L + 1)).sum() != len(vv):
+        raise ValueError(f"decompose: (V, D) is not a module of Loewy length at most {L}")
+    return {Ind(int(j) + 1, int(l) + 1): int(mult[j, l]) for j, l in zip(*np.nonzero(mult))}
 
 
 def _quotient(target: ModSum, F: np.ndarray, A: Algebra, p: int = 2):
     """The module (target)/colspan(F): vertex vector and induced nilpotent."""
     vt = vertex_vector(target, A)
-    D = shift_matrix(target)
-    R, piv = gf.rref(F.T, p)
-    keep = [c for c in range(len(vt)) if c not in set(piv)]
-    vv = [vt[c] for c in keep]
-    DQ = np.zeros((len(keep), len(keep)), dtype=np.int64)
-    for j, c in enumerate(keep):
-        w = gf.reduce_rows(R, piv, D[:, c], p)
-        for i, r in enumerate(keep):
-            DQ[i, j] = w[r]
-    return vv, DQ
+    # row c of W is column c of the shift matrix reduced modulo colspan(F)
+    piv, W = gf.reduce_mod(F.T, shift_matrix(target).T, p)
+    keep = sorted(set(range(len(vt))) - set(piv))
+    return [vt[c] for c in keep], W[np.ix_(keep, keep)].T
 
 
 def pushout_decompose(g: ModMap, A: Algebra, p: int = 2) -> dict[Ind, int]:
@@ -389,6 +377,8 @@ def cone_of_stable_map(g: ModMap, A: Algebra, p: int = 2) -> ModSum:
     Realised as the pushout of the injective envelope of M and g; the
     triangle M -> N -> C -> Omega^{-1} M holds in the stable category.
     """
+    if g.p != p:
+        raise ValueError(f"map is over GF({g.p}), cone asked over GF({p})")
     for m in g.source + g.target:
         if is_projective(m, A):
             raise ValueError("cone arguments must have no projective summands")
@@ -439,7 +429,7 @@ def _min_approx(Z: Ind, C, A: Algebra, p: int, left: bool) -> ModMap:
     Xs = tuple(c for c, _ in pieces)
     mat = (np.concatenate([f for _, f in pieces], axis=0 if left else 1) if pieces
            else np.zeros((0, Z.length) if left else (Z.length, 0), dtype=np.int64))
-    return ModMap((Z,), Xs, mat) if left else ModMap(Xs, (Z,), mat)
+    return ModMap((Z,), Xs, mat, p) if left else ModMap(Xs, (Z,), mat, p)
 
 
 def min_left_approx(Z: Ind, C, A: Algebra, p: int = 2) -> ModMap:

@@ -17,12 +17,6 @@ def test_nullspace_is_kernel():
         assert not ((M @ N.T) % p).any()
 
 
-def test_intersection_dim():
-    A = np.array([[1, 0, 0], [0, 1, 0]])
-    B = np.array([[0, 1, 0], [0, 0, 1]])
-    assert gf.intersection_dim(A, B, 2) == 1
-
-
 def test_gf2_kernel_matches_dense_elimination(monkeypatch):
     # the packed GF(2) kernel against the dense reference, on random shapes
     # including empty ones and widths around 64 columns
@@ -44,12 +38,12 @@ def test_gf2_kernel_matches_dense_elimination(monkeypatch):
             m.setattr(gf, "rref", gf._rref_dense)
             N0 = gf.nullspace(M, 2)
         assert N.shape == N0.shape and N.tobytes() == N0.tobytes()
-        if rows and cols:
-            half = max(rows // 2, 1)
-            A, B = M[:half], M[half:]
-            want = len(gf._rref_dense(A, 2)[1]) + len(gf._rref_dense(B, 2)[1]) \
-                - len(gf._rref_dense(np.concatenate([A, B]), 2)[1])
-            assert gf.intersection_dim(A, B, 2) == want
+        half = rows // 2
+        R0, piv0 = gf._rref_dense(M[:half], 2)
+        piv, W = gf.reduce_mod(M[:half], M[half:], 2)
+        W0 = np.array([gf.reduce_rows(R0, piv0, v, 2) for v in M[half:]],
+                      dtype=np.int64).reshape(M[half:].shape)
+        assert piv == piv0 and W.shape == W0.shape and W.tobytes() == W0.tobytes()
 
 
 def test_independent_mod_matches_reduce_loop():

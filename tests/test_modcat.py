@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import combinations, product
 
 import numpy as np
@@ -150,6 +153,115 @@ def test_cone_split_and_contractible():
     assert cone_of_stable_map(z, A36) == tuple(sorted([N, omega_inv(M, A36)]))
     ident = ModMap((M,), (M,), np.eye(1, dtype=np.int64))
     assert cone_of_stable_map(ident, A36) == ()
+
+
+def test_cone_over_gf3():
+    # 2 * id is an isomorphism over GF(3), so its cone vanishes; read mod 2
+    # it would be the zero map, with cone M + Omega^{-1} M
+    M = Ind(1, 2)
+    twice = ModMap((M,), (M,), 2 * np.eye(2, dtype=np.int64), p=3)
+    twice.check(A36)
+    assert cone_of_stable_map(twice, A36, p=3) == ()
+    with pytest.raises(ValueError, match="GF"):
+        cone_of_stable_map(twice, A36)
+    Z, C = omega(M, A36), [Ind(2, 1), Ind(3, 3)]
+    g = min_left_approx(Z, C, A36, p=3)
+    assert g.p == 3
+    assert cone_of_stable_map(g, A36, p=3) == cone_of_stable_map(min_left_approx(Z, C, A36), A36)
+
+
+def _decompose_by_socles(vv, D, A, p):
+    """Reference: the multiplicity of Ind(i, l) is
+    dim(Soc_i ∩ im D^{l-1}) - dim(Soc_i ∩ im D^l), with Soc_i the vertex-i
+    part of ker D, each intersection from three ranks."""
+    dim = len(vv)
+    images, Dk = [np.eye(dim, dtype=np.int64)], np.eye(dim, dtype=np.int64)
+    for _ in range(A.loewy):
+        Dk = (D @ Dk) % p
+        images.append(Dk.T.copy())
+    mult = {}
+    for i in range(1, A.n + 1):
+        sel = np.eye(dim, dtype=np.int64)[[r for r in range(dim) if vv[r] != i]]
+        soc = gf.nullspace(np.concatenate([D, sel]), p)
+        if not len(soc):
+            continue
+        dims = [gf.rank(soc, p) + gf.rank(im, p) - gf.rank(np.concatenate([soc, im]), p)
+                for im in images]
+        for l in range(1, A.loewy + 1):
+            if dims[l - 1] - dims[l]:
+                mult[Ind(i, l)] = dims[l - 1] - dims[l]
+    return mult
+
+
+def _graded_automorphism(vv, p, rng):
+    """A random invertible matrix with one block per vertex, and its inverse."""
+    dim = len(vv)
+    P, Pinv = np.eye(dim, dtype=np.int64), np.eye(dim, dtype=np.int64)
+    for i in set(vv):
+        idx = [r for r in range(dim) if vv[r] == i]
+        while True:
+            B = rng.integers(0, p, (len(idx), len(idx)))
+            R, piv = gf.rref(np.concatenate([B, np.eye(len(idx), dtype=np.int64)], axis=1), p)
+            if piv == list(range(len(idx))):  # [B | I] reduces to [I | B^-1]
+                break
+        P[np.ix_(idx, idx)], Pinv[np.ix_(idx, idx)] = B, R[:, len(idx):]
+    return P, Pinv
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, ell, cases", [(3, 6, 12), (4, 4, 12), (6, 9, 6)],
+                         ids=["A_3^6", "A_4^4", "A_6^9"])
+def test_decompose_random_conjugates(n, ell, cases, p):
+    # a random direct sum, its basis permuted and conjugated by a random
+    # graded automorphism, decomposes back into the same multiset, as the
+    # socle/intersection formula also finds
+    A = Algebra(n, ell)
+    rng = np.random.default_rng(1000 * n + 10 * ell + p)
+    inds = modcat.all_inds(A)
+    for _ in range(cases):
+        pool = rng.choice(len(inds), 3)  # a small pool, so summands repeat
+        X = tuple(sorted(inds[k] for k in rng.choice(pool, int(rng.integers(0, 5)))))
+        want = {m: X.count(m) for m in set(X)}
+        perm = rng.permutation(modcat.sum_dim(X))
+        vv = [modcat.vertex_vector(X, A)[r] for r in perm]
+        P, Pinv = _graded_automorphism(vv, p, rng)
+        D = (P @ modcat.shift_matrix(X)[np.ix_(perm, perm)] @ Pinv) % p
+        assert modcat.decompose(vv, D, A, p) == want
+        assert _decompose_by_socles(vv, D, A, p) == want
+
+
+# (n, ell, vertex vector, D): a D from vertex 1 to vertex 3 of A_3^6, and the
+# identity on the single vertex of A_1^2, graded but not nilpotent
+NOT_MODULES = {"not graded": (3, 6, [1, 3], [[0, 0], [1, 0]]),
+               "not nilpotent": (1, 2, [1], [[1]])}
+
+
+@pytest.mark.parametrize("case", NOT_MODULES)
+def test_decompose_rejects_non_modules(case):
+    n, ell, vv, D = NOT_MODULES[case]
+    with pytest.raises(ValueError, match="decompose"):
+        modcat.decompose(vv, np.array(D, dtype=np.int64), Algebra(n, ell))
+
+
+def test_decompose_rejects_non_modules_under_optimize():
+    # the checks are exceptions, not asserts, so python -O keeps them
+    script = (
+        "import sys, numpy as np\n"
+        "from smstilt.modcat import Algebra, decompose\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        f"for n, ell, vv, D in {list(NOT_MODULES.values())!r}:\n"
+        "    try:\n"
+        "        decompose(vv, np.array(D, dtype=np.int64), Algebra(n, ell))\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    sys.exit(f'accepted {vv} {D}')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modcat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def _iso_exists(X, Y, A, p=2):
