@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import disc, gf
-from .modcat import Algebra, _bar, _orbits
+from .modcat import Algebra, _bar, _json_ints, _json_list, _orbits
 
 
 @dataclass(frozen=True, order=True)
@@ -76,13 +76,12 @@ class TwoTerm:
 
 
 def twoterm_from_json(obj) -> TwoTerm:
-    A = Algebra(obj["n"], obj["ell"])
+    A = Algebra(*_json_ints(obj, ("n", "ell")))
     summands = []
-    for s in obj["summands"]:
-        if "stalk" in s:
-            summands.append(Stalk(s["stalk"], s["deg"]))
-        else:
-            summands.append(Arrow(s["src"], s["tgt"]))
+    for k, s in enumerate(_json_list(obj, "summands")):
+        stalk = isinstance(s, dict) and "stalk" in s
+        fields = _json_ints(s, ("stalk", "deg") if stalk else ("src", "tgt"), f"summands[{k}]")
+        summands.append(Stalk(*fields) if stalk else Arrow(*fields))
     return TwoTerm(A, tuple(summands))
 
 
@@ -103,7 +102,8 @@ def _pmul(a: np.ndarray, b: np.ndarray, A: Algebra) -> np.ndarray:
 
 
 def _pinv(a: np.ndarray, A: Algebra) -> np.ndarray:
-    assert a[0] == 1
+    if a[0] != 1:
+        raise ValueError("_pinv: the constant term is not 1, so the polynomial is not a unit")
     L = A.ell + 1
     b = _pzero(A)
     b[0] = 1
@@ -115,7 +115,8 @@ def _pinv(a: np.ndarray, A: Algebra) -> np.ndarray:
 def _pdivide(num: np.ndarray, den: np.ndarray, A: Algebra) -> np.ndarray:
     """num / den where den = x^s * unit and num is divisible by x^s."""
     s = int(np.nonzero(den)[0][0])
-    assert not num[:s].any()
+    if num[:s].any():
+        raise ValueError(f"_pdivide: the numerator is not divisible by x^{s}")
     unit = np.concatenate([den[s:], np.zeros(s, dtype=np.int64)])
     shifted = np.concatenate([num[s:], np.zeros(s, dtype=np.int64)])
     return _pmul(shifted, _pinv(unit, A), A)
@@ -232,11 +233,13 @@ def decompose_two_term(C: ProjComplex) -> tuple[Summand, ...] | None:
         (r, c), prc = min(diff.items(),
                           key=lambda kv: (int(np.nonzero(kv[1])[0][0]), kv[0]))
         s = int(np.nonzero(prc)[0][0])
-        assert s >= 1, "minimize before decomposing"
+        if s < 1:
+            raise ValueError("decompose_two_term: unit entry; minimize before decomposing")
         _schur_update(diff, r, c, A, exact_divide=True)
         diff.pop((r, c))
         a, b = summands[c][1], summands[r][1]
-        assert s == _min_pos_degree(a, b, A), "non-canonical differential degree"
+        if s != _min_pos_degree(a, b, A):
+            raise ValueError(f"decompose_two_term: non-canonical degree x^{s} on P_{a} -> P_{b}")
         out.append(Arrow(a, b))
         summands[r] = summands[c] = None
     for entry in summands:
@@ -396,7 +399,13 @@ def hom_complex_dim(T: TwoTerm, U: TwoTerm, k: int) -> int:
         raise ValueError("complexes live over different algebras")
     if abs(k) >= 2:
         return 0
-    return HomSet(from_twoterm(T), shift(from_twoterm(U), k)).dim
+    return sum(_summand_hom_dim(a, b, k, T.algebra) for a in T.summands for b in U.summands)
+
+
+@lru_cache(maxsize=None)
+def _summand_hom_dim(a: Summand, b: Summand, k: int, A: Algebra) -> int:
+    """dim Hom_K(a, b[k]) for single summands; Hom_K is additive over summands."""
+    return HomSet(_summand_complex(a, A), shift(_summand_complex(b, A), k)).dim
 
 
 # -- silting / tilting --------------------------------------------------------
@@ -560,12 +569,19 @@ def _irreducible_maps(a: Summand, b: Summand, mids, A: Algebra) -> list[dict]:
     rad = _summand_radical(a, b, A)
     if not rad:
         return []
-    through = [HS.from_map(compose_maps(g, f, A)) for c in mids
-               for f in _summand_radical(a, c, A) for g in _summand_radical(c, b, A)]
-    ideal = np.concatenate([HS.boundaries,
-                            np.array(through, dtype=np.int64).reshape(-1, len(HS.unknowns))])
+    ideal = np.concatenate([HS.boundaries] + [_through(a, c, b, A) for c in mids])
     keep = gf.independent_mod(ideal, np.array([HS.from_map(f) for f in rad]))
     return [rad[k] for k in keep]
+
+
+@lru_cache(maxsize=None)
+def _through(a: Summand, c: Summand, b: Summand, A: Algebra) -> np.ndarray:
+    """Coordinates in Hom_K(a, b) of the composites rad(c, b) . rad(a, c);
+    callers must not mutate it."""
+    HS = _summand_homset(a, b, A)
+    through = [HS.from_map(compose_maps(g, f, A))
+               for f in _summand_radical(a, c, A) for g in _summand_radical(c, b, A)]
+    return np.array(through or np.zeros((0, len(HS.unknowns))), dtype=np.int64)
 
 
 def _min_approx(s: Summand, rest, A: Algebra, left: bool):

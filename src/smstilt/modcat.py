@@ -41,6 +41,23 @@ class Algebra:
         return self.ell + 1
 
 
+def _json_ints(obj, keys, where: str = "") -> list[int]:
+    """obj[k] for each k in keys, each checked to be an int; the ValueError
+    names the bad field, e.g. ``summands[0].deg: expected int``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where or 'input'}: expected an object")
+    for k in keys:
+        if type(obj.get(k)) is not int:
+            raise ValueError(f"{where}{'.' if where else ''}{k}: expected int")
+    return [obj[k] for k in keys]
+
+
+def _json_list(obj: dict, key: str) -> list:
+    if not isinstance(obj.get(key), list):
+        raise ValueError(f"{key}: expected a list")
+    return obj[key]
+
+
 @dataclass(frozen=True, order=True)
 class Ind:
     """Uniserial module with given socle index (1..n) and Loewy length."""

@@ -39,8 +39,12 @@ class Configuration:
 
 
 def config_from_json(obj) -> Configuration:
-    A = Algebra(obj["n"], obj["ell"])
-    return Configuration(A, tuple((p[0], p[1]) for p in obj["points"]))
+    A = Algebra(*modcat._json_ints(obj, ("n", "ell")))
+    points = modcat._json_list(obj, "points")
+    for k, p in enumerate(points):
+        if not (isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)):
+            raise ValueError(f"points[{k}]: expected a pair of ints")
+    return Configuration(A, tuple((x, y) for x, y in points))
 
 
 def ind_of(p: Point) -> Ind:
@@ -155,7 +159,8 @@ def sms_mutate_tracked(C: Configuration, K, sign: str):
     Members of K are (co)syzygy-shifted; every other point is replaced by
     the cone over the minimal approximation into the extension closure of
     K, following the triangle Omega X -> X' -> Y -> X.  Results are
-    memoised per process; the returned map is a fresh dict.
+    memoised per process, per point on (point, K, sign) and per
+    configuration on (C, K, sign); the returned map is a fresh dict.
     """
     result, mapping = _sms_mutate_cached(C, frozenset(tuple(q) for q in K), sign)
     return result, dict(mapping)
@@ -170,33 +175,30 @@ def _sms_mutate_cached(C: Configuration, Kset: frozenset, sign: str):
         raise ValueError("mutation subset is not contained in the configuration")
     if {nu_point(q, A) for q in Kset} != Kset:
         raise ValueError("mutation subset is not Nakayama-stable")
-
-    closure = modcat.closure_inds(tuple(sorted(ind_of(q) for q in Kset)), A)
-    mapping: dict[Point, Point] = {}
-    for pt in C.points:
-        M = ind_of(pt)
-        if pt in Kset:
-            shifted = modcat.omega_inv(M, A) if sign == "minus" else modcat.omega(M, A)
-            mapping[pt] = point_of(shifted)
-            continue
-        if sign == "minus":
-            Z = modcat.omega(M, A)
-            g = modcat.min_left_approx(Z, closure, A)
-            cone = modcat.cone_of_stable_map(g, A)
-            if len(cone) != 1:
-                raise RuntimeError(f"mutation cone of {pt} is not indecomposable: {cone}")
-            mapping[pt] = point_of(cone[0])
-        else:
-            Z = modcat.omega_inv(M, A)
-            g = modcat.min_right_approx(closure, Z, A)
-            cone = modcat.cone_of_stable_map(g, A)
-            if len(cone) != 1:
-                raise RuntimeError(f"mutation cocone of {pt} is not indecomposable: {cone}")
-            mapping[pt] = point_of(modcat.omega(cone[0], A))
+    mapping = {pt: _mutate_point(pt, Kset, sign, A) for pt in C.points}
     result = Configuration(A, tuple(mapping.values()))
     if not is_configuration(result, A):
         raise RuntimeError("mutation produced an invalid configuration")
     return result, tuple(mapping.items())
+
+
+@lru_cache(maxsize=None)
+def _mutate_point(pt: Point, Kset: frozenset, sign: str, A: Algebra) -> Point:
+    """The image of one point under mutation at Kset; it depends on nothing
+    else in the configuration."""
+    M = ind_of(pt)
+    if pt in Kset:
+        return point_of(modcat.omega_inv(M, A) if sign == "minus" else modcat.omega(M, A))
+    closure = modcat.closure_inds(tuple(sorted(ind_of(q) for q in Kset)), A)
+    if sign == "minus":
+        g = modcat.min_left_approx(modcat.omega(M, A), closure, A)
+    else:
+        g = modcat.min_right_approx(closure, modcat.omega_inv(M, A), A)
+    cone = modcat.cone_of_stable_map(g, A)
+    if len(cone) != 1:
+        kind = "cone" if sign == "minus" else "cocone"
+        raise RuntimeError(f"mutation {kind} of {pt} is not indecomposable: {cone}")
+    return point_of(cone[0] if sign == "minus" else modcat.omega(cone[0], A))
 
 
 def sms_mutate(C: Configuration, K, sign: str) -> Configuration:
@@ -230,7 +232,8 @@ def omega_insert(C: Configuration, m: int) -> Configuration:
 def _delete_and_deinsert(C: Configuration, m: int) -> Configuration:
     """Inverse of omega_insert for a configuration containing (h, 1)."""
     h = C.algebra.n
-    assert (h, 1) in C.points
+    if (h, 1) not in C.points:
+        raise ValueError(f"configuration does not contain the inserted point ({h},1)")
     pts = []
     for x, y in C.points:
         if (x, y) == (h, 1):

@@ -162,3 +162,22 @@ def test_usage_error_paths(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = run(capsys, "fold", "--e", "2", "--in", str(path))
     assert code == 2
+
+
+# malformed complex and configuration JSON: (verb, input, field named in the message)
+MALFORMED = {
+    "string n": ("fmap", {"n": "3", "ell": 6, "summands": []}, "n: expected int"),
+    "not an object": ("fmap", [1, 2], "input: expected an object"),
+    "bad summand field": ("fmap", {"n": 3, "ell": 6, "summands": [{"stalk": 1, "deg": "0"}]},
+                          "summands[0].deg: expected int"),
+    "short point": ("is-config", {"n": 3, "ell": 6, "points": [[1]]}, "points[0]"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_exits_2(capsys, tmp_path, case):
+    verb, obj, field = MALFORMED[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, verb, "--n", "3", "--ell", "6", "--in", str(path))
+    assert code == 2 and field in err

@@ -1,6 +1,12 @@
+import os
+import random
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
-from smstilt import brauer, complexes as cx, disc
+from smstilt import brauer, complexes as cx, disc, gf, transport
 from smstilt.complexes import (Arrow, Stalk, TwoTerm, end_quiver,
                                hom_complex_dim, is_silting, is_tilting,
                                nu_complex, nu_orbits, phi, phi_inv,
@@ -61,6 +67,28 @@ def test_hom_complex_dims():
     for X in disc.enumerate_triangulations(3):
         U = phi(X, "minus", A36)
         assert hom_complex_dim(U, U, 1) == 0
+
+
+# non-tilting and non-basic complexes, beside the tilting ones of A_3^6
+ODD_COMPLEXES = [TwoTerm(A36, (Stalk(1, 0), Stalk(1, 0))),
+                 TwoTerm(A36, (Stalk(2, 0), Stalk(2, -1))),
+                 TwoTerm(A36, (Arrow(2, 1), Arrow(2, 1), Stalk(3, -1))),
+                 TwoTerm(A36, (Arrow(1, 1), Arrow(3, 2), Stalk(1, 0)))]
+
+
+def test_hom_complex_dim_matches_whole_complex_homset():
+    # hom_complex_dim sums cached summand-pair dimensions; the reference is
+    # the HomSet of the whole complexes
+    objs = list(transport.two_term_objects(A36)) + ODD_COMPLEXES
+    pairs = [(T, U) for T in objs for U in objs]
+    A44 = Algebra(4, 4)
+    objs = transport.two_term_objects(A44)
+    rng = random.Random(20261018)
+    pairs += [(T, U) for T in objs for U in rng.sample(objs, 10)]
+    for T, U in pairs:
+        for k in (-1, 0, 1):
+            want = cx.HomSet(cx.from_twoterm(T), cx.shift(cx.from_twoterm(U), k)).dim
+            assert hom_complex_dim(T, U, k) == want, (T, U, k)
 
 
 def test_left_mutation_strictly_descends():
@@ -225,6 +253,26 @@ def test_end_quiver_matches_brauer_tree():
     assert arrows == translated
 
 
+def _irreducible_count_uncached(a, b, mids, A):
+    """Reference: the radical composites through mids recomposed on every call."""
+    HS = cx._summand_homset(a, b, A)
+    rad = cx._summand_radical(a, b, A)
+    if not rad:
+        return 0
+    through = [HS.from_map(cx.compose_maps(g, f, A)) for c in mids
+               for f in cx._summand_radical(a, c, A) for g in cx._summand_radical(c, b, A)]
+    ideal = np.concatenate([HS.boundaries,
+                            np.array(through, dtype=np.int64).reshape(-1, len(HS.unknowns))])
+    return len(gf.independent_mod(ideal, np.array([HS.from_map(f) for f in rad])))
+
+
+def test_end_quiver_matches_uncached_composites():
+    for T in transport.two_term_objects(A36):
+        want = {(a, b): c for a in T.summands for b in T.summands
+                if (c := _irreducible_count_uncached(a, b, T.summands, A36))}
+        assert end_quiver(T) == want
+
+
 def test_end_quiver_requires_tilting():
     with pytest.raises(ValueError):
         end_quiver(TwoTerm(A36, (Stalk(1, 0),)))
@@ -234,3 +282,53 @@ def test_json_round_trip():
     for X in disc.enumerate_triangulations(3):
         T = phi(X, "minus", A36)
         assert twoterm_from_json(T.to_json()) == T
+
+
+def _poly(*coeffs):
+    return np.array(coeffs + (0,) * (A36.ell + 1 - len(coeffs)), dtype=np.int64)
+
+
+# invariant checks that are exceptions, not asserts: (source to evaluate here
+# and under python -O, start of the expected message)
+BROKEN_INVARIANTS = {
+    "non-unit inverse": ("cx._pinv(_poly(0, 1), A36)", "_pinv"),
+    "inexact division": ("cx._pdivide(_poly(1), _poly(0, 1), A36)", "_pdivide"),
+    "unit entry": ("cx.decompose_two_term(cx.ProjComplex(A36, [(-1, 1), (0, 1)], "
+                   "{(1, 0): _poly(1)}))", "decompose_two_term: unit entry"),
+    "non-canonical degree": ("cx.decompose_two_term(cx.ProjComplex(A36, [(-1, 1), (0, 1)], "
+                             "{(1, 0): _poly(0, 0, 0, 0, 0, 0, 1)}))",
+                             "decompose_two_term: non-canonical"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_INVARIANTS)
+def test_broken_invariants_raise(case):
+    src, message = BROKEN_INVARIANTS[case]
+    with pytest.raises(ValueError) as exc:
+        eval(src)
+    assert str(exc.value).startswith(message)
+
+
+def test_broken_invariants_raise_under_optimize():
+    script = (
+        "import sys, numpy as np\n"
+        "from smstilt import complexes as cx\n"
+        "from smstilt.modcat import Algebra\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        "A36 = Algebra(3, 6)\n"
+        "def _poly(*coeffs):\n"
+        "    return np.array(coeffs + (0,) * (A36.ell + 1 - len(coeffs)), dtype=np.int64)\n"
+        f"for src, message in {list(BROKEN_INVARIANTS.values())!r}:\n"
+        "    try:\n"
+        "        eval(src)\n"
+        "    except ValueError as exc:\n"
+        "        if str(exc).startswith(message):\n"
+        "            continue\n"
+        "    sys.exit(f'no {message!r} error from {src}')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cx.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

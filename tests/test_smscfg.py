@@ -114,6 +114,44 @@ def test_mutation_cache_safety():
             sms_mutate_tracked(C, orbit, "sideways")
 
 
+def _mutate_whole_configuration(C, K, sign):
+    """Reference: the per-configuration loop that the per-point cache replaced."""
+    A = C.algebra
+    closure = modcat.closure_inds(tuple(sorted(smscfg.ind_of(q) for q in K)), A)
+    mapping = {}
+    for pt in C.points:
+        M = smscfg.ind_of(pt)
+        if pt in K:
+            shifted = modcat.omega_inv(M, A) if sign == "minus" else modcat.omega(M, A)
+            mapping[pt] = smscfg.point_of(shifted)
+        elif sign == "minus":
+            g = modcat.min_left_approx(modcat.omega(M, A), closure, A)
+            (Y,) = modcat.cone_of_stable_map(g, A)
+            mapping[pt] = smscfg.point_of(Y)
+        else:
+            g = modcat.min_right_approx(closure, modcat.omega_inv(M, A), A)
+            (Y,) = modcat.cone_of_stable_map(g, A)
+            mapping[pt] = smscfg.point_of(modcat.omega(Y, A))
+    return Configuration(A, tuple(mapping.values())), mapping
+
+
+@pytest.mark.parametrize("n, ell", [(3, 6), (6, 9)])
+def test_per_point_cache_matches_whole_configuration_loop(n, ell):
+    A = Algebra(n, ell)
+    for C in enumerate_configurations(A):
+        for K in smscfg.nu_orbits_points(C):
+            for sign in ("minus", "plus"):
+                assert sms_mutate_tracked(C, K, sign) == _mutate_whole_configuration(C, K, sign)
+
+
+def test_point_mutation_failures_are_not_cached():
+    # the cocone of (1,6) over the closure of {(1,1)} is zero; lru_cache keeps
+    # no exceptions, so the second call fails the same way
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="cocone of \\(1, 6\\) is not indecomposable"):
+            smscfg._mutate_point((1, 6), frozenset({(1, 1)}), "plus", A36)
+
+
 def test_omega_insert_examples():
     B = Algebra(1, 2)
     C = Configuration(B, ((1, 1),))
@@ -132,6 +170,9 @@ def test_omega_insert_deletion_inverse():
     for C in enumerate_configurations(A24):
         D = omega_insert(C, 2)
         assert smscfg._delete_and_deinsert(D, 2).points == C.points
+    # a configuration without the inserted point (h, 1) is refused
+    with pytest.raises(ValueError, match="inserted point"):
+        smscfg._delete_and_deinsert(Configuration(A24, ((1, 1), (1, 2))), 2)
 
 
 def test_prune_type_immediate():
