@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .disc import Triangulation
-from .modcat import _bar
+from .modcat import _bar, _json_int_seq, _json_ints, _json_list
 
 
 def _label_key(label):
@@ -102,11 +102,32 @@ class BrauerTree:
         }
 
 
+def _json_label(value, where: str):
+    if type(value) not in (int, str):
+        raise ValueError(f"{where}: expected an int or a string")
+    return value
+
+
 def tree_from_json(obj) -> BrauerTree:
-    edges = tuple((ed["label"], tuple(ed["ends"])) for ed in obj["edges"])
-    cyclic = tuple((int(v), tuple(labels)) for v, labels in obj["cyclic"].items())
-    return BrauerTree(tuple(obj["vertices"]), edges, cyclic,
-                      obj["exceptional"], obj["m"])
+    exceptional, m = _json_ints(obj, ("exceptional", "m"))
+    vertices = _json_int_seq(obj.get("vertices"), "vertices")
+    edges = []
+    for k, ed in enumerate(_json_list(obj, "edges")):
+        if not isinstance(ed, dict):
+            raise ValueError(f"edges[{k}]: expected an object")
+        edges.append((_json_label(ed.get("label"), f"edges[{k}].label"),
+                      _json_int_seq(ed.get("ends"), f"edges[{k}].ends", pair=True)))
+    if not isinstance(obj.get("cyclic"), dict):
+        raise ValueError("cyclic: expected an object")
+    cyclic = []
+    for v, labels in obj["cyclic"].items():
+        if not (v.isdecimal() or v[:1] == "-" and v[1:].isdecimal()):
+            raise ValueError(f"cyclic: vertex {v!r} is not an int")
+        if not isinstance(labels, list):
+            raise ValueError(f"cyclic.{v}: expected a list")
+        cyclic.append((int(v), tuple(_json_label(lab, f"cyclic.{v}[{k}]")
+                                     for k, lab in enumerate(labels))))
+    return BrauerTree(vertices, tuple(edges), tuple(cyclic), exceptional, m)
 
 
 def star(e: int, m: int = 1) -> BrauerTree:

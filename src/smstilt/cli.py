@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import brauer, complexes, disc, smscfg, transport
-from .modcat import Algebra
+from .modcat import Algebra, _json_pairs
 
 
 def _dump(obj) -> str:
@@ -149,7 +149,11 @@ def cmd_sms_mutate(args) -> int:
     C = smscfg.config_from_json(_read_json(args.infile))
     if C.algebra != A:
         raise ValueError("configuration algebra does not match --n/--ell")
-    K = [tuple(p) for p in json.loads(args.at)]
+    try:
+        at = json.loads(args.at)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--at: {exc}") from None
+    K = _json_pairs(at, "--at")
     D = smscfg.sms_mutate(C, K, args.sign)
     _emit(args, D.to_json(), " ".join(f"({x},{y})" for x, y in D.points))
     return 0

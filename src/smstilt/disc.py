@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .modcat import _json_ints, _json_list
+
 
 class FoldSymmetryError(Exception):
     """Raised when folding a triangulation that is not rotation symmetric."""
@@ -62,13 +64,16 @@ def inner_arc(initial: int, length: int, e: int) -> Arc:
     return Arc("inner", terminal, initial, length)
 
 
-def arc_from_json(obj, e: int) -> Arc:
-    if obj.get("kind") == "projective":
-        a = projective_arc(obj["terminal"])
-    elif obj.get("kind") == "inner":
-        a = inner_arc(obj["initial"], obj["length"], e)
+def arc_from_json(obj, e: int, where: str = "arc") -> Arc:
+    if e < 1:
+        raise ValueError(f"invalid rank e={e}")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind == "projective":
+        a = projective_arc(*_json_ints(obj, ("terminal",), where))
+    elif kind == "inner":
+        a = inner_arc(*_json_ints(obj, ("initial", "length"), where), e)
     else:
-        raise ValueError(f"unrecognised arc {obj!r}")
+        raise ValueError(f"{where}: unrecognised arc {obj!r}")
     check_arc(a, e)
     return a
 
@@ -152,8 +157,9 @@ class Triangulation:
 
 
 def triangulation_from_json(obj) -> Triangulation:
-    e = obj["e"]
-    X = Triangulation(e, tuple(arc_from_json(a, e) for a in obj["arcs"]))
+    (e,) = _json_ints(obj, ("e",))
+    arcs = _json_list(obj, "arcs")
+    X = Triangulation(e, tuple(arc_from_json(a, e, f"arcs[{k}]") for k, a in enumerate(arcs)))
     if not is_triangulation(set(X.arcs), e):
         raise ValueError("arc set is not a triangulation")
     return X

@@ -58,6 +58,21 @@ def _json_list(obj: dict, key: str) -> list:
     return obj[key]
 
 
+def _json_int_seq(value, where: str, pair: bool = False) -> tuple[int, ...]:
+    """value checked to be a list of ints, of length 2 if pair."""
+    if not (isinstance(value, list) and all(type(v) is int for v in value)
+            and (not pair or len(value) == 2)):
+        raise ValueError(f"{where}: expected a {'pair' if pair else 'list'} of ints")
+    return tuple(value)
+
+
+def _json_pairs(items, where: str) -> list[tuple[int, int]]:
+    """items checked to be a list of [int, int] pairs."""
+    if not isinstance(items, list):
+        raise ValueError(f"{where}: expected a list")
+    return [_json_int_seq(q, f"{where}[{k}]", pair=True) for k, q in enumerate(items)]
+
+
 @dataclass(frozen=True, order=True)
 class Ind:
     """Uniserial module with given socle index (1..n) and Loewy length."""

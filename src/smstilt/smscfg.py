@@ -10,7 +10,8 @@ simple-minded system of A_n^ell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from . import modcat
 from .modcat import Algebra, Ind
@@ -40,11 +41,7 @@ class Configuration:
 
 def config_from_json(obj) -> Configuration:
     A = Algebra(*modcat._json_ints(obj, ("n", "ell")))
-    points = modcat._json_list(obj, "points")
-    for k, p in enumerate(points):
-        if not (isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)):
-            raise ValueError(f"points[{k}]: expected a pair of ints")
-    return Configuration(A, tuple((x, y) for x, y in points))
+    return Configuration(A, tuple(modcat._json_pairs(obj.get("points"), "points")))
 
 
 def ind_of(p: Point) -> Ind:
@@ -67,54 +64,57 @@ def _stable_table(A: Algebra, p: int = 2):
     return idx, table
 
 
-def stable_hom_points(a: Point, b: Point, A: Algebra, p: int = 2) -> int:
+@lru_cache(maxsize=None)
+def _mask_table(A: Algebra, p: int = 2):
+    """`_stable_table` as bitmasks, bit k standing for all_points(A)[k]: per
+    point a, its brick flag, `out` = the b with stable Hom(a, b) != 0, and
+    `into` = the v with stable Hom(v, a) != 0, the vertices that a covers."""
     idx, table = _stable_table(A, p)
-    return table[idx[a]][idx[b]]
+    rng = range(len(table))
+    return (idx, [table[a][a] == 1 for a in rng],
+            [sum(1 << b for b in rng if table[a][b]) for a in rng],
+            [sum(1 << v for v in rng if table[v][a]) for a in rng])
 
 
 def is_configuration(C, A: Algebra, p: int = 2) -> bool:
-    """Pairwise stable orthogonality plus coverage of every vertex."""
+    """Pairwise stable orthogonality, as out[a] & P == bit(a) for each brick
+    a in P, plus coverage: the `into` masks of P cover every vertex."""
     pts = C.points if isinstance(C, Configuration) else Configuration(A, tuple(C)).points
-    for a in pts:
-        for b in pts:
-            want = 1 if a == b else 0
-            if stable_hom_points(a, b, A, p) != want:
-                return False
-    for v in all_points(A):
-        if not any(stable_hom_points(v, q, A, p) for q in pts):
-            return False
-    return True
+    idx, brick, out, into = _mask_table(A, p)
+    ks = [idx[q] for q in pts]
+    P = sum(1 << k for k in ks)
+    if not all(brick[k] and out[k] & P == 1 << k for k in ks):
+        return False
+    return reduce(or_, (into[k] for k in ks), 0) == (1 << len(brick)) - 1
 
 
 @lru_cache(maxsize=None)
 def enumerate_configurations(A: Algebra) -> tuple[Configuration, ...]:
-    """All configurations, by backtracking over the orthogonality graph."""
-    verts = all_points(A)
-    cands = sorted((q for q in verts if stable_hom_points(q, q, A) == 1),
-                   key=lambda q: (q[1], q[0]))
-    found: list[tuple[Point, ...]] = []
+    """All configurations, by backtracking on the masks of `_mask_table`.
 
-    def orthogonal(q: Point, chosen: list[Point]) -> bool:
-        return all(stable_hom_points(q, c, A) == 0 and stable_hom_points(c, q, A) == 0
-                   for c in chosen)
+    Candidates are the bricks, by (length, socle) as in all_points.  A
+    branch adds only candidates whose `out` and `into` masks miss the chosen
+    points, ends once the chosen points cover every vertex, and is cut when
+    the chosen and available points together cannot.
+    """
+    pts = all_points(A)
+    _, brick, out, into = _mask_table(A, 2)
+    full = (1 << len(pts)) - 1
+    cands = [k for k in range(len(pts)) if brick[k]]
+    clash = [out[k] | into[k] for k in cands]
+    found = []
 
-    def covered(chosen: list[Point]) -> bool:
-        return all(any(stable_hom_points(v, q, A) for q in chosen) for v in verts)
+    def search(start: int, chosen: int, covered: int) -> None:
+        if covered == full:  # a configuration admits no orthogonal extension
+            found.append(tuple(sorted(q for k, q in enumerate(pts) if chosen >> k & 1)))
+            return
+        avail = [j for j in range(start, len(cands)) if not clash[j] & chosen]
+        if reduce(or_, (into[cands[j]] for j in avail), covered) == full:
+            for j in avail:
+                search(j + 1, chosen | 1 << cands[j], covered | into[cands[j]])
 
-    def search(start: int, chosen: list[Point]) -> None:
-        if covered(chosen):
-            found.append(tuple(sorted(chosen)))
-            return  # configurations admit no orthogonal extension
-        avail = [j for j in range(start, len(cands)) if orthogonal(cands[j], chosen)]
-        pool = chosen + [cands[j] for j in avail]
-        for v in verts:
-            if not any(stable_hom_points(v, q, A) for q in pool):
-                return
-        for j in avail:
-            search(j + 1, chosen + [cands[j]])
-
-    search(0, [])
-    return tuple(Configuration(A, pts) for pts in sorted(set(found)))
+    search(0, 0, 0)
+    return tuple(Configuration(A, c) for c in sorted(found))
 
 
 def simples(A: Algebra) -> Configuration:

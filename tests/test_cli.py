@@ -181,3 +181,48 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     path.write_text(json.dumps(obj))
     code, _, err = run(capsys, verb, "--n", "3", "--ell", "6", "--in", str(path))
     assert code == 2 and field in err
+
+
+TRIANGLE = {"e": 3, "arcs": [{"kind": "projective", "terminal": j} for j in (1, 2, 3)]}
+STAR = {"m": 1, "exceptional": 0, "vertices": [0, 1, 2],
+        "edges": [{"label": 1, "ends": [0, 1]}, {"label": 2, "ends": [0, 2]}],
+        "cyclic": {"0": [1, 2], "1": [1], "2": [2]}}
+SIMPLES_A24 = {"n": 2, "ell": 4, "points": [[1, 1], [2, 1]]}
+SMS_MUTATE_AT = ["sms-mutate", "--n", "2", "--ell", "4", "--sign", "minus", "--at"]
+
+# malformed mutation subsets, triangulations and Brauer trees:
+# (arguments besides --in, input, field named in the message)
+MALFORMED_ARGS = {
+    "--at int": (SMS_MUTATE_AT + ["5"], SIMPLES_A24, "--at: expected a list"),
+    "--at list of int": (SMS_MUTATE_AT + ["[5]"], SIMPLES_A24, "--at[0]: expected a pair of ints"),
+    "--at not JSON": (SMS_MUTATE_AT + ["[[1,1]"], SIMPLES_A24, "--at: Expecting"),
+    "string e": (["flip", "--arc", "<*,2>"], dict(TRIANGLE, e="3"), "e: expected int"),
+    "bad arc field": (["flip", "--arc", "<*,2>"],
+                      dict(TRIANGLE, arcs=[{"kind": "inner", "initial": "1", "length": 2}]),
+                      "arcs[0].initial: expected int"),
+    "tree as list": (["kauer", "--edge", "1", "--sign", "minus"], [1], "input: expected an object"),
+    "bad edge ends": (["kauer", "--edge", "1", "--sign", "minus"],
+                      dict(STAR, edges=[{"label": 1, "ends": [0]}, {"label": 2, "ends": [0, 2]}]),
+                      "edges[0].ends: expected a pair of ints"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ARGS)
+def test_malformed_argument_input_exits_2(capsys, tmp_path, case):
+    argv, obj, field = MALFORMED_ARGS[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, *argv, "--in", str(path))
+    assert code == 2 and field in err
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (SMS_MUTATE_AT + ["[[1,1],[2,1]]"], SIMPLES_A24),
+    (["flip", "--arc", "<*,2>"], TRIANGLE),
+    (["kauer", "--edge", "1", "--sign", "minus"], STAR),
+], ids=["sms-mutate", "flip", "kauer"])
+def test_well_formed_argument_input_exits_0(capsys, tmp_path, argv, obj):
+    # the inputs that the malformed cases above are derived from
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert run(capsys, *argv, "--in", str(path))[0] == 0

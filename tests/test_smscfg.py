@@ -21,6 +21,97 @@ def test_is_configuration_examples():
         Configuration(A36, ((1, 7),))
 
 
+def _stable_homs(A, p=2):
+    """Stable Hom dimensions of every pair of points, straight from modcat."""
+    pts = smscfg.all_points(A)
+    return {(a, b): modcat.stable_hom_dim(Ind(*a), Ind(*b), A, p) for a in pts for b in pts}
+
+
+def _enumerate_reference(A):
+    """Reference: the list-based search with pairwise lookups that the mask
+    search replaced; same candidate order and pruning rule."""
+    hom = _stable_homs(A)
+    verts = smscfg.all_points(A)
+    cands = sorted((q for q in verts if hom[q, q] == 1), key=lambda q: (q[1], q[0]))
+    found = []
+
+    def orthogonal(q, chosen):
+        return all(hom[q, c] == 0 and hom[c, q] == 0 for c in chosen)
+
+    def covered(chosen):
+        return all(any(hom[v, q] for q in chosen) for v in verts)
+
+    def search(start, chosen):
+        if covered(chosen):
+            found.append(tuple(sorted(chosen)))
+            return
+        avail = [j for j in range(start, len(cands)) if orthogonal(cands[j], chosen)]
+        if covered(chosen + [cands[j] for j in avail]):
+            for j in avail:
+                search(j + 1, chosen + [cands[j]])
+
+    search(0, [])
+    return tuple(Configuration(A, pts) for pts in sorted(set(found)))
+
+
+# A_3^9 is the one with non-brick points (Loewy length > 2n + 1)
+@pytest.mark.parametrize("n, ell", [(2, 4), (3, 3), (3, 6), (4, 4), (4, 8), (6, 9), (3, 9)])
+def test_enumeration_matches_list_reference(n, ell):
+    A = Algebra(n, ell)
+    assert enumerate_configurations(A) == _enumerate_reference(A)
+
+
+def _random_subsets(A, rng, count):
+    """Arbitrary point sets, configurations less one point (orthogonal but
+    short of coverage) and configurations with one point swapped for any
+    vertex, bricks or not."""
+    verts = smscfg.all_points(A)
+    cfgs = [list(C.points) for C in enumerate_configurations(A)]
+    subsets = []
+    for k in range(count):
+        if k % 3 == 0:
+            S = rng.sample(verts, rng.randint(1, A.n + 1))
+        else:
+            S = list(rng.choice(cfgs))
+            i = rng.randrange(len(S))
+            if k % 3 == 1:
+                del S[i]
+            else:
+                S[i] = rng.choice(verts)
+        subsets.append(tuple(S))
+    return subsets
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, ell", [(3, 6), (6, 9), (3, 9)])
+def test_is_configuration_matches_pairwise_definition(n, ell, p):
+    A = Algebra(n, ell)
+    hom = _stable_homs(A, p)
+    verts = smscfg.all_points(A)
+
+    def bricks(S):
+        return all(hom[a, b] == int(a == b) for a in S for b in S)
+
+    def covers(S):
+        return all(any(hom[v, q] for q in S) for v in verts)
+
+    cfgs = enumerate_configurations(A)
+    subsets = _random_subsets(A, random.Random(1000 * n + ell), 500)
+    for S in list(cfgs) + subsets:
+        pts = set(S.points if isinstance(S, Configuration) else S)
+        assert is_configuration(S, A, p) == (bricks(pts) and covers(pts)), S
+    kinds = {(bricks(set(S)), covers(set(S))) for S in subsets}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    if (n, ell) == (3, 9):
+        assert any(hom[q, q] > 1 for S in subsets for q in S)
+
+
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4)])
+def test_configurations_hold_over_gf3(n, ell):
+    A = Algebra(n, ell)
+    assert all(is_configuration(C, A, p=3) for C in enumerate_configurations(A))
+
+
 def test_enumeration_counts():
     for n, ell, want in [(3, 3, 5), (3, 6, 20), (2, 4, 6), (2, 2, 2), (4, 4, 14)]:
         cfgs = enumerate_configurations(Algebra(n, ell))
