@@ -3,9 +3,9 @@
 Cyclic orders are stored counter-clockwise.  The tree built from a
 triangulation (psi) sorts the edges around each vertex by the index of
 the opposite vertex, with the edge towards the exceptional vertex taking
-the vertex's own index as its key; mutation, star reduction and leaf
-pruning all preserve edge labels, which is what lets mutation sequences
-be replayed on the module side.
+the vertex's own index as its key; mutation and star reduction both
+preserve edge labels, which is what lets mutation sequences be replayed
+on the module side.
 """
 
 from __future__ import annotations
@@ -210,23 +210,6 @@ def kauer_mutate(G: BrauerTree, label, sign: str) -> BrauerTree:
     edges = tuple((lab, uv) if lab != label else (lab, (nu_, nv_)) for lab, uv in G.edges)
     cyclic = tuple((w, tuple(order)) for w, order in cyc.items())
     return BrauerTree(G.vertices, edges, cyclic, G.exceptional, G.multiplicity)
-
-
-def prune_leaf(G: BrauerTree, label) -> BrauerTree:
-    """Remove a leaf edge together with its non-exceptional extremal vertex."""
-    u, v = G.ends(label)
-    drop = None
-    for w in (u, v):
-        if G.valency(w) == 1 and w != G.exceptional:
-            drop = w
-            break
-    if drop is None:
-        raise ValueError(f"edge {label!r} is not a leaf at a non-exceptional extremal vertex")
-    edges = tuple((lab, uv) for lab, uv in G.edges if lab != label)
-    cyclic = tuple((w, tuple(x for x in order if x != label))
-                   for w, order in G.cyclic if w != drop)
-    vertices = tuple(w for w in G.vertices if w != drop)
-    return BrauerTree(vertices, edges, cyclic, G.exceptional, G.multiplicity)
 
 
 # -- isomorphism via canonical ribbon-tree encodings ------------------------

@@ -46,6 +46,13 @@ def _algebra(args) -> Algebra:
     return Algebra(args.n, args.ell)
 
 
+def _config(args, A: Algebra) -> smscfg.Configuration:
+    C = smscfg.config_from_json(_read_json(args.infile))
+    if C.algebra != A:
+        raise ValueError("configuration algebra does not match --n/--ell")
+    return C
+
+
 def _write_dot(args, text: str) -> None:
     if getattr(args, "dot", None):
         with open(args.dot, "w") as fh:
@@ -136,9 +143,7 @@ def cmd_enumerate_sms(args) -> int:
 
 def cmd_is_config(args) -> int:
     A = _algebra(args)
-    C = smscfg.config_from_json(_read_json(args.infile))
-    if C.algebra != A:
-        raise ValueError("configuration algebra does not match --n/--ell")
+    C = _config(args, A)
     ok = smscfg.is_configuration(C, A)
     _emit(args, {"is_configuration": ok}, "configuration" if ok else "not a configuration")
     return 0
@@ -146,9 +151,7 @@ def cmd_is_config(args) -> int:
 
 def cmd_sms_mutate(args) -> int:
     A = _algebra(args)
-    C = smscfg.config_from_json(_read_json(args.infile))
-    if C.algebra != A:
-        raise ValueError("configuration algebra does not match --n/--ell")
+    C = _config(args, A)
     try:
         at = json.loads(args.at)
     except json.JSONDecodeError as exc:
@@ -161,9 +164,7 @@ def cmd_sms_mutate(args) -> int:
 
 def cmd_prune(args) -> int:
     A = _algebra(args)
-    C = smscfg.config_from_json(_read_json(args.infile))
-    if C.algebra != A:
-        raise ValueError("configuration algebra does not match --n/--ell")
+    C = _config(args, A)
     if A.ell % A.n != 0:
         raise ValueError("tree pruning needs the symmetric case ell = n*m")
     kind = smscfg.prune_type(C, A.n, A.ell // A.n)
@@ -173,9 +174,7 @@ def cmd_prune(args) -> int:
 
 def cmd_tilde(args) -> int:
     A = _algebra(args)
-    C = smscfg.config_from_json(_read_json(args.infile))
-    if C.algebra != A:
-        raise ValueError("configuration algebra does not match --n/--ell")
+    C = _config(args, A)
     D = smscfg.tilde(C)
     _emit(args, D.to_json(), " ".join(f"({x},{y})" for x, y in D.points))
     return 0
@@ -212,7 +211,7 @@ def cmd_exchange_quiver(args) -> int:
 
 def cmd_verify(args) -> int:
     A = _algebra(args)
-    report = transport.verify(args.suite, A, threads=args.threads)
+    report = transport.verify(args.suite, A)
     human = f"suite {report['suite']}: {report['status']} {_dump(report['details'])}"
     _emit(args, report, human)
     return 0 if report["status"] == "pass" else 1

@@ -613,15 +613,7 @@ def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
     orbit = frozenset(orbit)
     if not orbit or not orbit <= set(T.summands):
         raise ValueError("orbit is not a set of summands of the complex")
-    if {nu_summand(s, A) for s in orbit} != orbit:
-        raise ValueError("orbit is not Nakayama-stable")
-    probe = min(orbit, key=lambda s: s.sort_key())
-    cycle: set[Summand] = set()
-    x = probe
-    while x not in cycle:
-        cycle.add(x)
-        x = nu_summand(x, A)
-    if frozenset(cycle) != orbit:
+    if len(_orbits(orbit, lambda s: nu_summand(s, A), "orbit is not Nakayama-stable")) != 1:
         raise ValueError("orbit is not minimal Nakayama-stable")
 
     rest = [s for s in T.summands if s not in orbit]

@@ -79,17 +79,22 @@ def arc_from_json(obj, e: int, where: str = "arc") -> Arc:
 
 
 def parse_arc(text: str, e: int) -> Arc:
-    """Parse the compact form "<*,j>" or "<terminal,initial>"."""
-    body = text.strip().lstrip("<").rstrip(">")
-    first, second = body.split(",")
-    if first.strip() == "*":
-        a = projective_arc(int(second))
-    else:
-        terminal, initial = int(first), int(second)
-        length = (terminal - initial - 1) % e + 1
-        a = inner_arc(initial, length, e)
-    check_arc(a, e)
-    return a
+    """Parse the --arc form "<*,j>" or "<terminal,initial>"."""
+    forms = f"expected <*,j> or <terminal,initial> with vertices 1..{e}, got {text!r}"
+    try:
+        first, second = text.strip().lstrip("<").rstrip(">").split(",")
+        ends = [int(second)] if first.strip() == "*" else [int(first), int(second)]
+    except ValueError:
+        raise ValueError(f"--arc: {forms}") from None
+    if not all(1 <= v <= e for v in ends):
+        raise ValueError(f"--arc: vertex out of range; {forms}")
+    if len(ends) == 1:
+        return projective_arc(ends[0])
+    terminal, initial = ends
+    length = (terminal - initial - 1) % e + 1
+    if length == 1:
+        raise ValueError(f"--arc: a boundary edge is not an arc; {forms}")
+    return inner_arc(initial, length, e)
 
 
 def check_arc(a: Arc, e: int) -> None:
@@ -172,16 +177,17 @@ def _pairwise_compatible(arcs, e: int) -> bool:
 
 
 def is_triangulation(S, e: int) -> bool:
-    """Pairwise compatible and maximal among admissible arcs."""
+    """Pairwise compatible and maximal among admissible arcs.
+
+    Every maximal compatible set has exactly e arcs, so maximality is a
+    count and costs no sweep over all_arcs(e).
+    """
+    if e < 1:
+        raise ValueError(f"invalid rank e={e}")
     S = set(S)
     for a in S:
         check_arc(a, e)
-    if not _pairwise_compatible(S, e):
-        return False
-    for b in all_arcs(e):
-        if b not in S and all(compatible(a, b, e) for a in S):
-            return False
-    return True
+    return len(S) == e and _pairwise_compatible(S, e)
 
 
 @lru_cache(maxsize=None)

@@ -283,19 +283,6 @@ class ModMap:
             raise ValueError("map does not intertwine the radical action")
 
 
-def zero_map(M, N) -> ModMap:
-    Ms, Ns = as_sum(M), as_sum(N)
-    return ModMap(Ms, Ns, np.zeros((sum_dim(Ns), sum_dim(Ms)), dtype=np.int64))
-
-
-def proj_cover(M: Ind, A: Algebra) -> tuple[Ind, ModMap]:
-    """Projective cover P_{top(M)} with its canonical surjection onto M."""
-    check_ind(M, A)
-    P = proj_of_top(top(M, A), A)
-    pi = ModMap((P,), (M,), _hom_matrix(P, M, M.length))
-    return P, pi
-
-
 def _proj_cover_sum(N: ModSum, A: Algebra) -> tuple[ModSum, np.ndarray]:
     Ps = tuple(proj_of_top(top(b, A), A) for b in N)
     poffs, noffs = sum_offsets(Ps), sum_offsets(N)
@@ -512,17 +499,6 @@ def _core_middle_terms(B: ModSum, C: ModSum, A: Algebra, p: int = 2) -> set[ModS
             E.extend([ind] * mult[ind])
         out.add(tuple(E))
     return out
-
-
-def extension_middle_terms(B, C, A: Algebra, p: int = 2) -> set[ModSum]:
-    """All iso-classes E with a short exact sequence 0 -> B -> E -> C -> 0."""
-    Bs, Cs = as_sum(B), as_sum(C)
-    for m in Bs + Cs:
-        check_ind(m, A)
-    bp = tuple(m for m in Bs if is_projective(m, A))
-    cp = tuple(m for m in Cs if is_projective(m, A))
-    core = _core_middle_terms(_strip_projectives(Bs, A), _strip_projectives(Cs, A), A, p)
-    return {tuple(sorted(E + bp + cp)) for E in core}
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,14 +21,6 @@ from . import brauer, complexes, disc, modcat, smscfg
 from .complexes import TwoTerm
 from .modcat import Algebra, Ind, _bar
 from .smscfg import Configuration
-
-
-def _pmap(fn, items, threads: int = 1):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- canonical mutation sequences ---------------------------------------------
@@ -247,7 +238,7 @@ def _report(suite: str, status: bool, details: dict, counterexamples: list) -> d
             "details": details, "counterexamples": counterexamples}
 
 
-def _verify_counts(A: Algebra, threads: int = 1) -> dict:
+def _verify_counts(A: Algebra) -> dict:
     e = A.e
     tri = len(disc.enumerate_triangulations(e))
     expected_tri = math.comb(2 * e, e) // 2
@@ -263,10 +254,9 @@ def _verify_counts(A: Algebra, threads: int = 1) -> dict:
     return _report("counts", not bad, details, bad)
 
 
-def _verify_bijection(A: Algebra, threads: int = 1) -> dict:
+def _verify_bijection(A: Algebra) -> dict:
     objs = two_term_objects(A)
-    images = _pmap(fmap, objs, threads)
-    keyed = [C.points for C in images]
+    keyed = [fmap(T).points for T in objs]
     all_cfgs = {C.points for C in smscfg.enumerate_configurations(A)}
     injective = len(set(keyed)) == len(keyed)
     surjective = set(keyed) == all_cfgs
@@ -288,49 +278,36 @@ def _verify_bijection(A: Algebra, threads: int = 1) -> dict:
     return _report("bijection", ok, details, bad)
 
 
-def _verify_mutation_compat(A: Algebra, threads: int = 1) -> dict:
-    objs = two_term_objects(A)
-
-    def check(T):
-        local = []
-        edges = 0
-        C, corr = fmap_tracked(T)
-        for orbit in complexes.nu_orbits(T):
-            R = complexes.two_term_mutate(T, orbit, "minus")
-            if R is None:
-                continue
-            edges += 1
-            S = {corr[s] for s in orbit}
-            direct = smscfg.sms_mutate(C, S, "minus")
-            expected = fmap(R)
-            if direct.points != expected.points:
-                local.append({"complex": T.to_json(),
-                              "orbit": [s.to_json() for s in sorted(orbit, key=lambda x: x.sort_key())],
-                              "direct": direct.to_json(), "transport": expected.to_json()})
-        return edges, local
-
-    results = _pmap(check, objs, threads)
-    edges = sum(r[0] for r in results)
-    bad = [x for r in results for x in r[1]]
-    return _report("mutation-compat", not bad, {"edges_checked": edges}, bad)
+def _verify_mutation_compat(A: Algebra) -> dict:
+    Q = exchange_quiver("2tilt", A)
+    tracked = [fmap_tracked(T) for T in Q.objects]
+    bad = []
+    for src, tgt, orbit in Q.arrows:
+        C, corr = tracked[src]
+        direct = smscfg.sms_mutate(C, {corr[s] for s in orbit}, "minus")
+        expected = tracked[tgt][0]
+        if direct.points != expected.points:
+            bad.append({"complex": Q.objects[src].to_json(),
+                        "orbit": [s.to_json() for s in orbit],
+                        "direct": direct.to_json(), "transport": expected.to_json()})
+    return _report("mutation-compat", not bad, {"edges_checked": len(Q.arrows)}, bad)
 
 
-def _verify_embedding(A: Algebra, threads: int = 1) -> dict:
+def _verify_embedding(A: Algebra) -> dict:
     if A.ell == A.e:
         return _report("embedding", True, {"note": "not applicable when ell = gcd(n, ell)"}, [])
     Q2 = exchange_quiver("2tilt", A)
     Qs = exchange_quiver("sms", A)
     cfg_index = {C.points: i for i, C in enumerate(Qs.objects)}
-    images = _pmap(fmap, Q2.objects, threads)
-    obj_map = [cfg_index[C.points] for C in images]
+    tracked = [fmap_tracked(T) for T in Q2.objects]
+    obj_map = [cfg_index[C.points] for C, _ in tracked]
     bad = []
     if len(set(obj_map)) != len(obj_map):
         bad.append({"failure": "object map not injective"})
-    corrs = [fmap_tracked(T)[1] for T in Q2.objects]
     sms_arrows = {(s, t, lab) for s, t, lab in Qs.arrows}
     mapped = set()
     for src, tgt, orbit in Q2.arrows:
-        S = tuple(sorted(corrs[src][s] for s in orbit))
+        S = tuple(sorted(tracked[src][1][s] for s in orbit))
         arrow = (obj_map[src], obj_map[tgt], S)
         if arrow not in sms_arrows:
             bad.append({"failure": "arrow image missing", "arrow": repr(arrow)})
@@ -342,26 +319,25 @@ def _verify_embedding(A: Algebra, threads: int = 1) -> dict:
     return _report("embedding", not bad, details, bad)
 
 
-def _verify_types(A: Algebra, threads: int = 1) -> dict:
+def _verify_types(A: Algebra) -> dict:
     e, m = A.e, A.ell // A.e if A.ell % A.e == 0 else 0
     if A.n != e or m <= 1:
         return _report("types", True, {"note": "types need the symmetric case with m > 1"}, [])
     bad = []
     per_part = {"minus": [], "plus": []}
-    for X in disc.enumerate_triangulations(e):
-        for sign in ("minus", "plus"):
-            T = complexes.phi(X, sign, A)
-            kind = smscfg.prune_type(fmap(T), e, m)
-            per_part[sign].append(kind)
-            want = smscfg.BOTTOM if sign == "minus" else smscfg.TOP
-            if kind != want:
-                bad.append({"sign": sign, "complex": T.to_json(), "type": kind})
+    for T in two_term_objects(A):
+        sign = complexes.part_of(T)
+        kind = smscfg.prune_type(fmap(T), e, m)
+        per_part[sign].append(kind)
+        want = smscfg.BOTTOM if sign == "minus" else smscfg.TOP
+        if kind != want:
+            bad.append({"sign": sign, "complex": T.to_json(), "type": kind})
     details = {"minus_types": sorted(set(per_part["minus"])),
                "plus_types": sorted(set(per_part["plus"]))}
     return _report("types", not bad, details, bad)
 
 
-def _verify_tilde(A: Algebra, threads: int = 1) -> dict:
+def _verify_tilde(A: Algebra) -> dict:
     e = A.e
     m = A.ell // e if A.ell % e == 0 else 0
     if A.n != e or m <= 1:
@@ -391,7 +367,7 @@ def _verify_tilde(A: Algebra, threads: int = 1) -> dict:
     return _report("tilde", not bad, details, bad)
 
 
-def _verify_functors(A: Algebra, threads: int = 1) -> dict:
+def _verify_functors(A: Algebra) -> dict:
     bad = []
     nonproj = modcat.nonprojective_inds(A)
     for M in nonproj:
@@ -430,8 +406,8 @@ _SUITES = {
 }
 
 
-def verify(suite: str, A: Algebra, threads: int = 1) -> dict:
+def verify(suite: str, A: Algebra) -> dict:
     """Run one verification suite; failures are results, not errors."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
-    return _SUITES[suite](A, threads)
+    return _SUITES[suite](A)

@@ -1,8 +1,8 @@
 import pytest
 
 from smstilt import brauer, complexes, disc
-from smstilt.brauer import (BrauerTree, brauer_iso, kauer_mutate, prune_leaf,
-                            psi, star, star_mutation_sequence, star_reduction,
+from smstilt.brauer import (BrauerTree, brauer_iso, kauer_mutate, psi,
+                            star, star_mutation_sequence, star_reduction,
                             tree_from_json)
 from smstilt.modcat import Algebra
 
@@ -134,21 +134,6 @@ def test_star_mutation_sequence_replay_everywhere():
                     assert 0 in H.ends(lab)
                     H = kauer_mutate(H, lab, sign)
                 assert brauer_iso(H, G)
-
-
-def test_prune_leaf():
-    path = BrauerTree((0, 1, 2),
-                      ((1, (0, 1)), (2, (1, 2))),
-                      ((0, (1,)), (1, (1, 2)), (2, (2,))), 0, 2)
-    G = prune_leaf(path, 2)
-    assert _edges_as_sets(G) == [(0, 1)]
-    with pytest.raises(ValueError):
-        prune_leaf(path, 1)  # interior edge at vertex 1, exceptional at 0
-    # pruning all leaves of a star empties the tree to one vertex
-    G = star(4, 2)
-    for lab in (2, 4, 1, 3):
-        G = prune_leaf(G, lab)
-    assert len(G.edges) == 0 and len(G.vertices) == 1
 
 
 def test_json_round_trip():

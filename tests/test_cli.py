@@ -200,6 +200,11 @@ MALFORMED_ARGS = {
     "bad arc field": (["flip", "--arc", "<*,2>"],
                       dict(TRIANGLE, arcs=[{"kind": "inner", "initial": "1", "length": 2}]),
                       "arcs[0].initial: expected int"),
+    "--arc abc": (["flip", "--arc", "abc"], TRIANGLE, "--arc: expected <*,j> or <terminal,initial>"),
+    "--arc <*,x>": (["flip", "--arc", "<*,x>"], TRIANGLE, "--arc: expected <*,j> or <terminal,initial>"),
+    "--arc <1,2,3>": (["flip", "--arc", "<1,2,3>"], TRIANGLE,
+                      "--arc: expected <*,j> or <terminal,initial>"),
+    "--arc out of range": (["flip", "--arc", "<*,4>"], TRIANGLE, "--arc: vertex out of range"),
     "tree as list": (["kauer", "--edge", "1", "--sign", "minus"], [1], "input: expected an object"),
     "bad edge ends": (["kauer", "--edge", "1", "--sign", "minus"],
                       dict(STAR, edges=[{"label": 1, "ends": [0]}, {"label": 2, "ends": [0, 2]}]),
@@ -213,7 +218,7 @@ def test_malformed_argument_input_exits_2(capsys, tmp_path, case):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
     code, _, err = run(capsys, *argv, "--in", str(path))
-    assert code == 2 and field in err
+    assert code == 2 and field in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, obj", [

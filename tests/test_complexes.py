@@ -187,10 +187,10 @@ def test_mutation_out_of_class_reported():
 def test_mutation_orbit_validation():
     A42 = Algebra(4, 2)
     T = stalk_complex(A42)
-    with pytest.raises(ValueError):
-        two_term_mutate(T, {Stalk(1, 0)}, "minus")  # not Nakayama-stable
-    with pytest.raises(ValueError):
-        two_term_mutate(T, set(T.summands), "minus")  # stable but not minimal
+    with pytest.raises(ValueError, match="^orbit is not Nakayama-stable$"):
+        two_term_mutate(T, {Stalk(1, 0)}, "minus")
+    with pytest.raises(ValueError, match="^orbit is not minimal Nakayama-stable$"):
+        two_term_mutate(T, set(T.summands), "minus")
 
 
 def test_mutation_inverse():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -42,8 +43,41 @@ def test_is_triangulation():
     assert disc.is_triangulation(example, 6)
 
 
-def test_enumerate_counts_match_halved_central_binomial():
+def _is_maximal_compatible(S, e):
+    """Reference definition: pairwise compatible and no admissible arc
+    outside S is compatible with all of S."""
+    return (all(compatible(a, b, e) for a in S for b in S)
+            and not any(b not in S and all(compatible(a, b, e) for a in S)
+                        for b in all_arcs(e)))
+
+
+def test_is_triangulation_matches_maximality():
+    rng = random.Random(7)
     for e in range(1, 7):
+        arcs = all_arcs(e)
+        tris = [set(X.arcs) for X in enumerate_triangulations(e)]
+        subsets = list(tris)
+        # triangulations minus one arc, or with one arc swapped at random
+        for S in rng.sample(tris, min(len(tris), 30)):
+            subsets.extend(S - {a} for a in S)
+            a = rng.choice(sorted(S, key=disc.Arc.sort_key))
+            subsets.append(S - {a} | {rng.choice(arcs)})
+        subsets.extend(set(rng.sample(arcs, rng.randint(0, len(arcs)))) for _ in range(100))
+        for S in subsets:
+            assert disc.is_triangulation(S, e) == _is_maximal_compatible(S, e)
+
+
+def test_triangulation_from_json_rejects_without_sweep(monkeypatch):
+    def no_sweep(e):
+        raise AssertionError("all_arcs swept")
+    monkeypatch.setattr(disc, "all_arcs", no_sweep)
+    with pytest.raises(ValueError, match="^arc set is not a triangulation$"):
+        disc.triangulation_from_json({"e": 10 ** 6, "arcs": []})
+
+
+def test_enumerate_counts_match_halved_central_binomial():
+    # every triangulation has e arcs, which is what is_triangulation counts
+    for e in range(1, 8):
         tris = enumerate_triangulations(e)
         assert len(tris) == math.comb(2 * e, e) // 2
         assert len(set(tris)) == len(tris)

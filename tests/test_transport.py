@@ -1,6 +1,7 @@
 import pytest
 
 from smstilt import complexes as cx, smscfg
+from smstilt.cli import main
 from smstilt.complexes import Stalk, TwoTerm
 from smstilt.modcat import Algebra
 from smstilt.transport import (bfs_sequence, canonical_sequence,
@@ -155,10 +156,31 @@ def test_verify_suites_pass():
         verify("nope", A36)
 
 
-def test_verify_threads_deterministic():
-    a = verify("bijection", A36, threads=1)
-    b = verify("bijection", A36, threads=4)
-    assert a == b
+def test_verify_threads_deterministic(capsys):
+    # the suites run serially; --threads is accepted and has no effect
+    outs = []
+    for k in ("1", "4"):
+        assert main(["verify", "--suite", "bijection", "--n", "3", "--ell", "6",
+                     "--threads", k, "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_mutation_compat_counterexamples_replay(monkeypatch):
+    # an sms mutation that returns its input fails every arrow; each
+    # counterexample names a complex and a sorted orbit that replay
+    monkeypatch.setattr(smscfg, "sms_mutate", lambda C, K, sign: C)
+    report = verify("mutation-compat", A36)
+    bad = report["counterexamples"]
+    assert report["status"] == "fail"
+    assert len(bad) == report["details"]["edges_checked"] > 0
+    for c in bad:
+        T = cx.twoterm_from_json(c["complex"])
+        orbit = [cx.twoterm_from_json(dict(c["complex"], summands=[s])).summands[0]
+                 for s in c["orbit"]]
+        assert orbit == sorted(orbit, key=lambda s: s.sort_key())
+        assert c["direct"] == fmap(T).to_json()
+        assert c["transport"] == fmap(cx.two_term_mutate(T, orbit, "minus")).to_json()
 
 
 def test_covering_case_with_trivial_multiplicity():
