@@ -328,7 +328,7 @@ class HomSet:
         self.boundaries = (np.array(brows, dtype=np.int64) if brows
                            else np.zeros((0, len(unknowns)), dtype=np.int64))
         self._br, self._bpiv = gf.rref(self.boundaries)
-        self.dim = self.cycles.shape[0] - gf.rank(self.boundaries)
+        self.dim = self.cycles.shape[0] - len(self._bpiv)
 
     def _add_poly(self, vec, slot, p, s):
         """vec += x^s * p in the coordinates of the given slot."""
@@ -526,14 +526,28 @@ def phi_inv(T: TwoTerm) -> tuple[disc.Triangulation, str]:
 
 # -- mutation ------------------------------------------------------------------
 
+def _frozen(M: np.ndarray) -> np.ndarray:
+    """M made read-only, for arrays that a cache hands to every caller."""
+    M.flags.writeable = False
+    return M
+
+
+@lru_cache(maxsize=None)
 def _summand_complex(s: Summand, A: Algebra) -> ProjComplex:
-    return from_twoterm(TwoTerm(A, (s,)))
+    """The one-summand complex s; callers must not mutate it."""
+    C = from_twoterm(TwoTerm(A, (s,)))
+    for p in C.diff.values():
+        _frozen(p)
+    return C
 
 
 @lru_cache(maxsize=None)
 def _summand_homset(a: Summand, b: Summand, A: Algebra) -> HomSet:
     """Hom_K between two single-summand complexes; callers must not mutate it."""
-    return HomSet(_summand_complex(a, A), _summand_complex(b, A))
+    HS = HomSet(_summand_complex(a, A), _summand_complex(b, A))
+    for M in (HS.cycles, HS.boundaries, HS._br):
+        _frozen(M)
+    return HS
 
 
 def _is_nilpotent(z: np.ndarray, HS: HomSet, A: Algebra) -> bool:
@@ -562,43 +576,79 @@ def _summand_radical(a: Summand, b: Summand, A: Algebra) -> tuple[dict, ...]:
                  for t, z in enumerate(basis) if t != t0)
 
 
-def _irreducible_maps(a: Summand, b: Summand, mids, A: Algebra) -> list[dict]:
-    """Radical maps a -> b whose classes form a basis of rad(a, b) modulo
-    homotopy and the composites rad(c, b) . rad(a, c) over c in mids."""
+@lru_cache(maxsize=None)
+def _radical_coords(a: Summand, b: Summand, A: Algebra) -> np.ndarray:
+    """Coordinates in Hom_K(a, b) of `_summand_radical(a, b)`, one row per
+    map, reduced modulo the boundaries; callers must not mutate it."""
     HS = _summand_homset(a, b, A)
-    rad = _summand_radical(a, b, A)
-    if not rad:
-        return []
-    ideal = np.concatenate([HS.boundaries] + [_through(a, c, b, A) for c in mids])
-    keep = gf.independent_mod(ideal, np.array([HS.from_map(f) for f in rad]))
-    return [rad[k] for k in keep]
+    rows = [HS.reduce(HS.from_map(f)) for f in _summand_radical(a, b, A)]
+    return _frozen(np.array(rows, dtype=np.int64).reshape(len(rows), len(HS.unknowns)))
+
+
+def _irreducible_maps(a: Summand, b: Summand, mids, A: Algebra) -> tuple[int, ...]:
+    """Indices into `_summand_radical(a, b)` of maps whose classes form a basis
+    of rad(a, b) modulo homotopy and the composites rad(c, b) . rad(a, c)
+    over c in mids."""
+    rad = _radical_coords(a, b, A)
+    if not len(rad):
+        return ()
+    ideal = [M for c in mids if len(M := _through(a, c, b, A))]
+    if not ideal:
+        return tuple(range(len(rad)))
+    # both sides are reduced modulo the boundaries, so they need not be added
+    return tuple(gf.independent_mod(np.concatenate(ideal), rad))
 
 
 @lru_cache(maxsize=None)
 def _through(a: Summand, c: Summand, b: Summand, A: Algebra) -> np.ndarray:
-    """Coordinates in Hom_K(a, b) of the composites rad(c, b) . rad(a, c);
-    callers must not mutate it."""
+    """Coordinates in Hom_K(a, b) of the composites rad(c, b) . rad(a, c) that
+    are not null-homotopic, reduced modulo the boundaries; callers must not
+    mutate it."""
     HS = _summand_homset(a, b, A)
-    through = [HS.from_map(compose_maps(g, f, A))
-               for f in _summand_radical(a, c, A) for g in _summand_radical(c, b, A)]
-    return np.array(through or np.zeros((0, len(HS.unknowns))), dtype=np.int64)
+    through = [v for f in _summand_radical(a, c, A) for g in _summand_radical(c, b, A)
+               if (v := HS.reduce(HS.from_map(compose_maps(g, f, A)))).any()]
+    return _frozen(np.array(through, dtype=np.int64).reshape(len(through), len(HS.unknowns)))
 
 
-def _min_approx(s: Summand, rest, A: Algebra, left: bool):
+def _min_approx(s: Summand, rest, A: Algebra, left: bool) -> tuple:
     """Minimal left (or right) add(rest)-approximation of the summand s in the
-    homotopy category, as (direct sum of summand complexes, chain map).
+    homotopy category, as a hashable key: a pair (m, indices) for each target
+    (source) m that takes part, where the indices pick the components from
+    `_summand_radical(s, m)` (or `_summand_radical(m, s)`).
 
     The components into (out of) m are a basis of Hom_K(s, m) modulo the
     composites through rad(add rest), so no summand can be dropped.
     """
-    items = [(m, f) for m in sorted(set(rest), key=lambda x: x.sort_key())
-             for f in _irreducible_maps(*((s, m) if left else (m, s)), rest, A)]
+    key = []
+    for m in sorted(set(rest), key=lambda x: x.sort_key()):
+        if keep := _irreducible_maps(*((s, m) if left else (m, s)), rest, A):
+            key.append((m, keep))
+    return tuple(key)
+
+
+@lru_cache(maxsize=None)
+def _mutate_summand(s: Summand, key: tuple, sign: str, A: Algebra) -> Summand | None:
+    """The summand that replaces s in the mutation whose minimal approximation
+    of s is `key` (see `_min_approx`): the cone of the approximation, or None
+    when it leaves the two-term window."""
+    left = sign == "minus"
+    items = [(m, _summand_radical(*((s, m) if left else (m, s)), A)[k])
+             for m, keep in key for k in keep]
     Mc, offs = direct_sum(A, [_summand_complex(m, A) for m, _ in items])
     gmap: dict[tuple[int, int], np.ndarray] = {}
     for (_, f), off in zip(items, offs):
         for (ui, ti), p in f.items():
             gmap[(ui + off, ti) if left else (ui, ti + off)] = p
-    return Mc, gmap
+    Xc = _summand_complex(s, A)
+    if left:
+        U = normalize(cone(gmap, Xc, Mc))
+    else:
+        U = normalize(shift(minimize(cone(gmap, Mc, Xc)), -1))
+    if U is None:
+        return None
+    if len(U.summands) != 1:
+        raise RuntimeError(f"mutation of {s} produced {len(U.summands)} summands")
+    return U.summands[0]
 
 
 def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
@@ -619,17 +669,10 @@ def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
     rest = [s for s in T.summands if s not in orbit]
     replaced: dict[Summand, Summand] = {}
     for s in sorted(orbit, key=lambda x: x.sort_key()):
-        Xc = _summand_complex(s, A)
-        Mc, gmap = _min_approx(s, rest, A, left=sign == "minus")
-        if sign == "minus":
-            U = normalize(cone(gmap, Xc, Mc))
-        else:
-            U = normalize(shift(minimize(cone(gmap, Mc, Xc)), -1))
-        if U is None:
+        new = _mutate_summand(s, _min_approx(s, rest, A, left=sign == "minus"), sign, A)
+        if new is None:
             return None, None
-        if len(U.summands) != 1:
-            raise RuntimeError(f"mutation of {s} produced {len(U.summands)} summands")
-        replaced[s] = U.summands[0]
+        replaced[s] = new
     result = TwoTerm(A, tuple(rest) + tuple(replaced.values()))
     if len(set(result.summands)) != len(T.summands):
         raise RuntimeError("mutation produced a non-basic complex")

@@ -195,25 +195,23 @@ def enumerate_triangulations(e: int) -> tuple[Triangulation, ...]:
     """All triangulations of the punctured e-gon, in canonical order."""
     arcs = all_arcs(e)
     n = len(arcs)
-    compat = [[compatible(arcs[i], arcs[j], e) for j in range(n)] for i in range(n)]
-    found: list[tuple[int, ...]] = []
+    # bit j of mask[i]: arc j differs from arc i and can be drawn beside it
+    mask = [sum(1 << j for j in range(n) if j != i and compatible(arcs[i], arcs[j], e))
+            for i in range(n)]
+    found: set[tuple[int, ...]] = set()
 
-    def extend(chosen: list[int], start: int) -> None:
-        extendable = False
-        for k in range(n):
-            if k in chosen or not all(compat[c][k] for c in chosen):
-                continue
-            extendable = True
-            if k >= start:
+    def extend(chosen: list[int], avail: int, start: int) -> None:
+        if not avail:
+            found.add(tuple(chosen))
+            return
+        for k in range(start, n):
+            if avail >> k & 1:
                 chosen.append(k)
-                extend(chosen, k + 1)
+                extend(chosen, avail & mask[k], k + 1)
                 chosen.pop()
-        if not extendable:
-            found.append(tuple(chosen))
 
-    extend([], 0)
-    tris = sorted({tuple(sorted(c)) for c in found})
-    return tuple(Triangulation(e, tuple(arcs[k] for k in c)) for c in tris)
+    extend([], (1 << n) - 1, 0)
+    return tuple(Triangulation(e, tuple(arcs[k] for k in c)) for c in sorted(found))
 
 
 def flip(X: Triangulation, a: Arc) -> tuple[Triangulation, Arc]:

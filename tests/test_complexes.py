@@ -253,24 +253,110 @@ def test_end_quiver_matches_brauer_tree():
     assert arrows == translated
 
 
-def _irreducible_count_uncached(a, b, mids, A):
-    """Reference: the radical composites through mids recomposed on every call."""
+def _irreducible_uncached(a, b, mids, A):
+    """Reference: indices into rad(a, b) of the maps kept modulo the boundaries
+    and every radical composite through mids, recomposed on every call."""
     HS = cx._summand_homset(a, b, A)
     rad = cx._summand_radical(a, b, A)
     if not rad:
-        return 0
+        return ()
     through = [HS.from_map(cx.compose_maps(g, f, A)) for c in mids
                for f in cx._summand_radical(a, c, A) for g in cx._summand_radical(c, b, A)]
     ideal = np.concatenate([HS.boundaries,
                             np.array(through, dtype=np.int64).reshape(-1, len(HS.unknowns))])
-    return len(gf.independent_mod(ideal, np.array([HS.from_map(f) for f in rad])))
+    return tuple(gf.independent_mod(ideal, np.array([HS.from_map(f) for f in rad])))
 
 
 def test_end_quiver_matches_uncached_composites():
     for T in transport.two_term_objects(A36):
         want = {(a, b): c for a in T.summands for b in T.summands
-                if (c := _irreducible_count_uncached(a, b, T.summands, A36))}
+                if (c := len(_irreducible_uncached(a, b, T.summands, A36)))}
         assert end_quiver(T) == want
+
+
+def _mutate_uncached(T, orbit, sign):
+    """Reference: the minimal approximation, its cone and normalize rebuilt
+    for every summand of every call, with nothing keyed or cached."""
+    A = T.algebra
+    left = sign == "minus"
+    rest = [s for s in T.summands if s not in orbit]
+    replaced = {}
+    for s in sorted(orbit, key=lambda x: x.sort_key()):
+        items = []
+        for m in sorted(set(rest), key=lambda x: x.sort_key()):
+            a, b = (s, m) if left else (m, s)
+            rad = cx._summand_radical(a, b, A)
+            items += [(m, rad[k]) for k in _irreducible_uncached(a, b, rest, A)]
+        Mc, offs = cx.direct_sum(A, [cx.from_twoterm(TwoTerm(A, (m,))) for m, _ in items])
+        gmap = {}
+        for (_, f), off in zip(items, offs):
+            for (ui, ti), p in f.items():
+                gmap[(ui + off, ti) if left else (ui, ti + off)] = p
+        Xc = cx.from_twoterm(TwoTerm(A, (s,)))
+        if left:
+            U = cx.normalize(cx.cone(gmap, Xc, Mc))
+        else:
+            U = cx.normalize(cx.shift(cx.minimize(cx.cone(gmap, Mc, Xc)), -1))
+        if U is None:
+            return None, None
+        assert len(U.summands) == 1
+        replaced[s] = U.summands[0]
+    return TwoTerm(A, tuple(rest) + tuple(replaced.values())), replaced
+
+
+def test_cached_mutation_matches_reference():
+    for n, ell in [(3, 6), (4, 4), (2, 6), (6, 9)]:
+        A = Algebra(n, ell)
+        for T in transport.two_term_objects(A):
+            for orbit in nu_orbits(T):
+                for sign in ("minus", "plus"):
+                    want = _mutate_uncached(T, orbit, sign)
+                    assert cx.two_term_mutate_tracked(T, orbit, sign) == want, (n, ell, T, orbit, sign)
+    for T in transport.two_term_objects(A36):
+        for a in T.summands:
+            for b in T.summands:
+                want = _irreducible_uncached(a, b, T.summands, A36)
+                assert cx._irreducible_maps(a, b, T.summands, A36) == want
+
+
+def test_cached_arrays_are_read_only():
+    s1, s2, s3 = Stalk(1, 0), Stalk(2, 0), Stalk(3, 0)
+    HS = cx._summand_homset(s1, s3, A36)
+    through, rad = cx._through(s1, s2, s3, A36), cx._radical_coords(s1, s3, A36)
+    assert len(through) and len(rad)
+    arrays = [through, rad, HS.cycles, HS.boundaries, HS._br,
+              *cx._summand_complex(Arrow(1, 3), A36).diff.values()]
+    for M in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            M[...] = 0
+
+
+def _same_complex(C, D):
+    return (C.algebra == D.algebra and C.summands == D.summands
+            and C.diff.keys() == D.diff.keys()
+            and all(np.array_equal(C.diff[k], D.diff[k]) for k in C.diff))
+
+
+def test_cached_summand_complexes_stay_intact():
+    transport.exchange_quiver("2tilt", A36)
+    objs = transport.two_term_objects(A36)
+    for T in objs:
+        transport.bfs_sequence(T)
+    summands = {s for T in objs for s in T.summands}
+    hits = cx._summand_complex.cache_info().hits
+    for s in summands:
+        assert _same_complex(cx._summand_complex(s, A36), cx._summand_complex.__wrapped__(s, A36))
+    # every summand was served from the cache, so the cached copies were checked
+    assert cx._summand_complex.cache_info().hits == hits + len(summands)
+
+
+def test_multi_summand_cone_raises_on_every_call(monkeypatch):
+    monkeypatch.setattr(cx, "normalize", lambda C: TwoTerm(A36, (Stalk(1, 0), Stalk(2, 0))))
+    # drop replacements cached by earlier tests, so that the cone is rebuilt
+    cx._mutate_summand.cache_clear()
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="produced 2 summands"):
+            two_term_mutate(stalk_complex(A36), {Stalk(1, 0)}, "minus")
 
 
 def test_end_quiver_requires_tilting():

@@ -85,6 +85,37 @@ def test_enumerate_counts_match_halved_central_binomial():
             assert len(X.arcs) == e
 
 
+def _enumerate_triangulations_reference(e):
+    """The search before compatibility masks: every extendable partial set is
+    rescanned against all e^2 arcs."""
+    arcs = all_arcs(e)
+    n = len(arcs)
+    compat = [[compatible(arcs[i], arcs[j], e) for j in range(n)] for i in range(n)]
+    found = []
+
+    def extend(chosen, start):
+        extendable = False
+        for k in range(n):
+            if k in chosen or not all(compat[c][k] for c in chosen):
+                continue
+            extendable = True
+            if k >= start:
+                chosen.append(k)
+                extend(chosen, k + 1)
+                chosen.pop()
+        if not extendable:
+            found.append(tuple(chosen))
+
+    extend([], 0)
+    tris = sorted({tuple(sorted(c)) for c in found})
+    return tuple(Triangulation(e, tuple(arcs[k] for k in c)) for c in tris)
+
+
+def test_enumerate_matches_reference_search():
+    for e in range(1, 7):
+        assert enumerate_triangulations(e) == _enumerate_triangulations_reference(e)
+
+
 def test_flip_example_and_involution():
     X = Triangulation(2, (projective_arc(1), projective_arc(2)))
     Y, b = flip(X, projective_arc(2))
