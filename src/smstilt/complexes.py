@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import disc, gf
-from .modcat import Algebra, _bar, _json_ints, _json_list, _orbits
+from .modcat import Algebra, SplitCone, _bar, _json_ints, _json_list, _orbits
 
 
 @dataclass(frozen=True, order=True)
@@ -450,10 +450,16 @@ def is_silting(T: TwoTerm) -> bool:
     return abs(_int_det([summand_class(s, A) for s in T.summands])) == 1
 
 
-def nu_summand(s: Summand, A: Algebra) -> Summand:
+def _rotate(s: Summand, k: int, A: Algebra) -> Summand:
+    """sigma^k(s) for the rotation sigma: i -> i + 1 of the quiver; it keeps
+    every polynomial degree."""
     if isinstance(s, Stalk):
-        return Stalk(_bar(s.idx - A.ell, A.n), s.deg)
-    return Arrow(_bar(s.src - A.ell, A.n), _bar(s.tgt - A.ell, A.n))
+        return Stalk(_bar(s.idx + k, A.n), s.deg)
+    return Arrow(_bar(s.src + k, A.n), _bar(s.tgt + k, A.n))
+
+
+def nu_summand(s: Summand, A: Algebra) -> Summand:
+    return _rotate(s, -A.ell, A)
 
 
 def nu_complex(T: TwoTerm) -> TwoTerm:
@@ -610,17 +616,19 @@ def _through(a: Summand, c: Summand, b: Summand, A: Algebra) -> np.ndarray:
     return _frozen(np.array(through, dtype=np.int64).reshape(len(through), len(HS.unknowns)))
 
 
-def _min_approx(s: Summand, rest, A: Algebra, left: bool) -> tuple:
+@lru_cache(maxsize=None)
+def _min_approx(s: Summand, rest: tuple, A: Algebra, left: bool) -> tuple:
     """Minimal left (or right) add(rest)-approximation of the summand s in the
-    homotopy category, as a hashable key: a pair (m, indices) for each target
-    (source) m that takes part, where the indices pick the components from
+    homotopy category, for rest a tuple of distinct summands in `sort_key`
+    order, as a hashable key: a pair (m, indices) for each target (source) m
+    that takes part, where the indices pick the components from
     `_summand_radical(s, m)` (or `_summand_radical(m, s)`).
 
     The components into (out of) m are a basis of Hom_K(s, m) modulo the
     composites through rad(add rest), so no summand can be dropped.
     """
     key = []
-    for m in sorted(set(rest), key=lambda x: x.sort_key()):
+    for m in rest:
         if keep := _irreducible_maps(*((s, m) if left else (m, s)), rest, A):
             key.append((m, keep))
     return tuple(key)
@@ -630,7 +638,8 @@ def _min_approx(s: Summand, rest, A: Algebra, left: bool) -> tuple:
 def _mutate_summand(s: Summand, key: tuple, sign: str, A: Algebra) -> Summand | None:
     """The summand that replaces s in the mutation whose minimal approximation
     of s is `key` (see `_min_approx`): the cone of the approximation, or None
-    when it leaves the two-term window."""
+    when it leaves the two-term window.  A cone that is not one summand
+    raises SplitCone with its summands."""
     left = sign == "minus"
     items = [(m, _summand_radical(*((s, m) if left else (m, s)), A)[k])
              for m, keep in key for k in keep]
@@ -647,7 +656,7 @@ def _mutate_summand(s: Summand, key: tuple, sign: str, A: Algebra) -> Summand | 
     if U is None:
         return None
     if len(U.summands) != 1:
-        raise RuntimeError(f"mutation of {s} produced {len(U.summands)} summands")
+        raise SplitCone(U.summands)
     return U.summands[0]
 
 
@@ -655,7 +664,9 @@ def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
     """Mutate at a minimal Nakayama-stable summand set.
 
     Returns (mutated complex, {orbit summand: replacement}) or (None, None)
-    when the mutation leaves the two-term window.
+    when the mutation leaves the two-term window.  Mutation commutes with
+    the rotation sigma, so each s in the orbit is mutated, and memoised, in
+    the frame sigma^k that puts (sigma^k s, sorted sigma^k rest) first.
     """
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be minus or plus, got {sign!r}")
@@ -669,10 +680,17 @@ def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
     rest = [s for s in T.summands if s not in orbit]
     replaced: dict[Summand, Summand] = {}
     for s in sorted(orbit, key=lambda x: x.sort_key()):
-        new = _mutate_summand(s, _min_approx(s, rest, A, left=sign == "minus"), sign, A)
+        k = min(range(A.n), key=lambda k: (_rotate(s, k, A).sort_key(),
+                                           sorted(_rotate(m, k, A).sort_key() for m in rest)))
+        sk = _rotate(s, k, A)
+        restk = tuple(sorted((_rotate(m, k, A) for m in rest), key=lambda x: x.sort_key()))
+        try:
+            new = _mutate_summand(sk, _min_approx(sk, restk, A, sign == "minus"), sign, A)
+        except SplitCone as exc:
+            raise RuntimeError(f"mutation of {s} produced {len(exc.args[0])} summands") from None
         if new is None:
             return None, None
-        replaced[s] = new
+        replaced[s] = _rotate(new, -k, A)
     result = TwoTerm(A, tuple(rest) + tuple(replaced.values()))
     if len(set(result.summands)) != len(T.summands):
         raise RuntimeError("mutation produced a non-basic complex")

@@ -244,8 +244,8 @@ def rotate_arc(a: Arc, k: int, e: int) -> Arc:
 def unfold(X: Triangulation, n: int) -> Triangulation:
     """Lift a rank-e triangulation to the rotation-symmetric one of rank n."""
     e = X.e
-    if n % e != 0:
-        raise ValueError(f"{e} does not divide {n}")
+    if n < 1 or n % e != 0:
+        raise ValueError(f"rank n = {n} is not a positive multiple of {e}")
     lifted = []
     for a in X.arcs:
         for k in range(n // e):
@@ -259,8 +259,8 @@ def unfold(X: Triangulation, n: int) -> Triangulation:
 def fold(Y: Triangulation, e: int) -> Triangulation:
     """Inverse of unfold; fails on inputs without the rotation symmetry."""
     n = Y.e
-    if n % e != 0:
-        raise ValueError(f"{e} does not divide {n}")
+    if e < 1 or n % e != 0:
+        raise ValueError(f"rank e = {e} is not a positive divisor of {n}")
     rotated = {rotate_arc(a, e, n) for a in Y.arcs}
     if rotated != set(Y.arcs):
         raise FoldSymmetryError(f"triangulation is not invariant under rotation by {e}")

@@ -7,6 +7,10 @@ Ind(i, l), read from the top, are S_{i-l+1}, ..., S_i (indices mod n).
 Morphisms are realised as concrete matrices on composition-factor bases
 over GF(p), and all homological operators (syzygies, cones, minimal
 approximations, extension closures) reduce to exact rank computations.
+
+The rotation sigma: i -> i + 1 of the cyclic quiver is an automorphism of A;
+it sends Ind(i, l) to Ind(i + 1, l), so tau = sigma, and it commutes with
+Omega, Omega^{-1}, nu and the mutations built on them.
 """
 
 from __future__ import annotations
@@ -306,6 +310,9 @@ def factor_rows(M, N, A: Algebra, p: int = 2) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+# Stable Hom (here, in smscfg's tables and complexes._summand_hom_dim) is
+# cached per pair, not per rotation class: tau = sigma, so a rotation-keyed
+# cache would make the functors suite compare each entry with itself.
 @lru_cache(maxsize=None)
 def _stable_hom_dim_cached(M: Ind, N: Ind, A: Algebra, p: int) -> int:
     full = hom_dim(M, N, A)
@@ -408,6 +415,11 @@ def cone_of_stable_map(g: ModMap, A: Algebra, p: int = 2) -> ModSum:
         if not is_projective(ind, A):
             parts.extend([ind] * mult[ind])
     return tuple(parts)
+
+
+class SplitCone(Exception):
+    """A mutation cone that is not one indecomposable, raised with its summands
+    by a cache that works in a rotated frame; lru_cache keeps no exceptions."""
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def simples(A: Algebra) -> Configuration:
 def config_shift(C: Configuration, op: str, k: int = 1) -> Configuration:
     A = C.algebra
     if op == "tau":
-        pts = [point_of(_iterate(modcat.tau, ind_of(p), A, k)) for p in C.points]
+        pts = [_rotate(p, k, A) for p in C.points]
     elif op == "omega":
         pts = [point_of(modcat.omega(ind_of(p), A)) for p in C.points]
     elif op == "omega_inv":
@@ -136,14 +136,13 @@ def config_shift(C: Configuration, op: str, k: int = 1) -> Configuration:
     return Configuration(A, tuple(pts))
 
 
-def _iterate(f, M: Ind, A: Algebra, k: int) -> Ind:
-    for _ in range(k % A.n if f is modcat.tau else k):
-        M = f(M, A)
-    return M
+def _rotate(p: Point, k: int, A: Algebra) -> Point:
+    """sigma^k(p) for the rotation sigma: i -> i + 1 of the quiver; sigma = tau."""
+    return (modcat._bar(p[0] + k, A.n), p[1])
 
 
 def nu_point(p: Point, A: Algebra) -> Point:
-    return point_of(modcat.nu(ind_of(p), A))
+    return _rotate(p, -A.ell, A)
 
 
 def nu_orbits_points(C: Configuration) -> list[frozenset]:
@@ -159,8 +158,8 @@ def sms_mutate_tracked(C: Configuration, K, sign: str):
     Members of K are (co)syzygy-shifted; every other point is replaced by
     the cone over the minimal approximation into the extension closure of
     K, following the triangle Omega X -> X' -> Y -> X.  Results are
-    memoised per process, per point on (point, K, sign) and per
-    configuration on (C, K, sign); the returned map is a fresh dict.
+    memoised per process, per point per rotation class (`_mutate_point`) and
+    per configuration on (C, K, sign); the returned map is a fresh dict.
     """
     result, mapping = _sms_mutate_cached(C, frozenset(tuple(q) for q in K), sign)
     return result, dict(mapping)
@@ -182,10 +181,26 @@ def _sms_mutate_cached(C: Configuration, Kset: frozenset, sign: str):
     return result, tuple(mapping.items())
 
 
-@lru_cache(maxsize=None)
 def _mutate_point(pt: Point, Kset: frozenset, sign: str, A: Algebra) -> Point:
     """The image of one point under mutation at Kset; it depends on nothing
-    else in the configuration."""
+    else in the configuration.  Mutation commutes with the rotation sigma, so
+    it is memoised per rotation class: computed on sigma^k of (pt, Kset) for
+    the k that puts (sorted sigma^k Kset, sigma^k pt) first, rotated back."""
+    k = min(range(A.n), key=lambda k: (sorted(_rotate(q, k, A) for q in Kset), _rotate(pt, k, A)))
+    try:
+        new = _mutate_point_in_frame(_rotate(pt, k, A),
+                                     frozenset(_rotate(q, k, A) for q in Kset), sign, A)
+    except modcat.SplitCone as exc:
+        kind = "cone" if sign == "minus" else "cocone"
+        cone = tuple(sorted(_rotate(q, -k, A) for q in exc.args[0]))
+        raise RuntimeError(f"mutation {kind} of {pt} is not indecomposable: {cone}") from None
+    return _rotate(new, -k, A)
+
+
+@lru_cache(maxsize=None)
+def _mutate_point_in_frame(pt: Point, Kset: frozenset, sign: str, A: Algebra) -> Point:
+    """`_mutate_point` computed directly in the frame it is given; raises
+    SplitCone with the points of a cone that is not indecomposable."""
     M = ind_of(pt)
     if pt in Kset:
         return point_of(modcat.omega_inv(M, A) if sign == "minus" else modcat.omega(M, A))
@@ -196,8 +211,7 @@ def _mutate_point(pt: Point, Kset: frozenset, sign: str, A: Algebra) -> Point:
         g = modcat.min_right_approx(closure, modcat.omega_inv(M, A), A)
     cone = modcat.cone_of_stable_map(g, A)
     if len(cone) != 1:
-        kind = "cone" if sign == "minus" else "cocone"
-        raise RuntimeError(f"mutation {kind} of {pt} is not indecomposable: {cone}")
+        raise modcat.SplitCone(tuple(point_of(Y) for Y in cone))
     return point_of(cone[0] if sign == "minus" else modcat.omega(cone[0], A))
 
 

@@ -62,6 +62,17 @@ def test_unfold_fold_and_symmetry_error(capsys, tmp_path):
     assert code == 2 and "symmetric" in err
 
 
+@pytest.mark.parametrize("verb, rank, value", [
+    ("unfold", "n", "0"), ("unfold", "n", "-3"), ("fold", "e", "-1"), ("fold", "e", "0"),
+])
+def test_unfold_fold_reject_rank_below_1(capsys, tmp_path, verb, rank, value):
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(TRIANGLE))
+    code, out, err = run(capsys, verb, f"--{rank}", value, "--in", str(path), "--json")
+    assert code == 2 and out == ""
+    assert f"rank {rank} = {value}" in err and "Traceback" not in err
+
+
 # An unclosed file warns from its finaliser, where pytest can only report
 # it as an unraisable-exception warning; both are made errors here.
 @pytest.mark.filterwarnings("error::ResourceWarning",

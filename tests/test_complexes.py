@@ -319,6 +319,27 @@ def test_cached_mutation_matches_reference():
                 assert cx._irreducible_maps(a, b, T.summands, A36) == want
 
 
+def _rotate(s, k, A):
+    r = lambda i: (i + k - 1) % A.n + 1
+    return Stalk(r(s.idx), s.deg) if isinstance(s, Stalk) else Arrow(r(s.src), r(s.tgt))
+
+
+def test_rotated_mutation_matches_reference():
+    # each rotated input is mutated in a canonical frame and rotated back;
+    # the reference mutates it where it stands
+    for n, ell in [(3, 6), (4, 4), (2, 6), (6, 9)]:
+        A = Algebra(n, ell)
+        for T in transport.two_term_objects(A):
+            for orbit in nu_orbits(T):
+                for k in range(n):
+                    Tk = TwoTerm(A, tuple(_rotate(s, k, A) for s in T.summands))
+                    orbit_k = {_rotate(s, k, A) for s in orbit}
+                    for sign in ("minus", "plus"):
+                        want = _mutate_uncached(Tk, orbit_k, sign)
+                        got = cx.two_term_mutate_tracked(Tk, orbit_k, sign)
+                        assert got == want, (T, orbit, sign, k)
+
+
 def test_cached_arrays_are_read_only():
     s1, s2, s3 = Stalk(1, 0), Stalk(2, 0), Stalk(3, 0)
     HS = cx._summand_homset(s1, s3, A36)
@@ -357,6 +378,16 @@ def test_multi_summand_cone_raises_on_every_call(monkeypatch):
     for _ in range(2):
         with pytest.raises(RuntimeError, match="produced 2 summands"):
             two_term_mutate(stalk_complex(A36), {Stalk(1, 0)}, "minus")
+
+
+def test_multi_summand_cone_names_the_callers_summand(monkeypatch):
+    monkeypatch.setattr(cx, "normalize", lambda C: TwoTerm(A36, (Stalk(1, 0), Stalk(2, 0))))
+    cx._mutate_summand.cache_clear()
+    # Stalk(2, 0) beside Stalk(1, 0) and Stalk(3, 0) is mutated in the frame
+    # rotated by two vertices, as Stalk(1, 0); the message names Stalk(2, 0)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=r"mutation of Stalk\(idx=2, deg=0\) produced 2"):
+            two_term_mutate(stalk_complex(A36), {Stalk(2, 0)}, "minus")
 
 
 def test_end_quiver_requires_tilting():

@@ -243,6 +243,32 @@ def test_point_mutation_failures_are_not_cached():
             smscfg._mutate_point((1, 6), frozenset({(1, 1)}), "plus", A36)
 
 
+def _rotate(q, k, A):
+    return ((q[0] + k - 1) % A.n + 1, q[1])
+
+
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (6, 9), (3, 9)])
+def test_point_mutation_is_rotation_equivariant(n, ell):
+    # every input, in every rotated frame, against the memoised core run
+    # uncached on that same input, so no cached answer stands in for it
+    A = Algebra(n, ell)
+    inputs = {(pt, K, sign) for C in enumerate_configurations(A)
+              for K in smscfg.nu_orbits_points(C) for pt in C.points for sign in ("minus", "plus")}
+    for pt, K, sign in inputs:
+        for k in range(n):
+            ptk, Kk = _rotate(pt, k, A), frozenset(_rotate(q, k, A) for q in K)
+            want = smscfg._mutate_point_in_frame.__wrapped__(ptk, Kk, sign, A)
+            assert smscfg._mutate_point(ptk, Kk, sign, A) == want, (n, ell, pt, K, sign, k)
+
+
+def test_point_mutation_failures_name_the_callers_point():
+    # (2,6) over {(2,1)} is (1,6) over {(1,1)} rotated by one vertex; the
+    # failure is computed in that frame but reported in the caller's
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="cocone of \\(2, 6\\) is not indecomposable"):
+            smscfg._mutate_point((2, 6), frozenset({(2, 1)}), "plus", A36)
+
+
 def test_omega_insert_examples():
     B = Algebra(1, 2)
     C = Configuration(B, ((1, 1),))
