@@ -11,7 +11,7 @@ algebra on the polynomial coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -257,6 +257,53 @@ def normalize(C: ProjComplex) -> TwoTerm | None:
     return TwoTerm(C.algebra, parts)
 
 
+# -- rotation ------------------------------------------------------------------
+
+def _rotate(s: Summand, k: int, A: Algebra) -> Summand:
+    """sigma^k(s) for the rotation sigma: i -> i + 1 of the quiver; it keeps
+    every polynomial degree, and every position in a one-summand complex."""
+    if isinstance(s, Stalk):
+        return Stalk(_bar(s.idx + k, A.n), s.deg)
+    return Arrow(_bar(s.src + k, A.n), _bar(s.tgt + k, A.n))
+
+
+def _anchor(s: Summand, A: Algebra) -> int:
+    """The k in range(n) that puts sigma^k s at vertex 1 (its stalk, or the
+    source of its arrow): the one k that minimises the `sort_key` of
+    sigma^k s, since its kind and degree do not rotate."""
+    return (1 - (s.idx if isinstance(s, Stalk) else s.src)) % A.n
+
+
+def _frame_key(s: Summand, k: int, A: Algebra) -> tuple[int, int, int]:
+    """`sort_key` of sigma^k s, computed without building sigma^k s."""
+    if isinstance(s, Stalk):
+        return (0, s.deg, _bar(s.idx + k, A.n))
+    return (1, _bar(s.src + k, A.n), _bar(s.tgt + k, A.n))
+
+
+def _rotation_keyed(fn):
+    """Memoise fn(a, b, ..., A) once per rotation class of the pair (a, b), in
+    the frame that anchors a.  The cache is keyed on the `sort_key`s of a and
+    b in that frame, plain ints that hash fast, so a hit costs little more
+    than one lookup.  fn's value must be made of positions and polynomial
+    degrees only, so that it serves every frame.  `cache_info` and
+    `cache_clear` are the cache's; `__wrapped__` is fn, uncached."""
+
+    @lru_cache(maxsize=None)
+    def cached(key_a, key_b, *args):
+        a, b = (Arrow(x, y) if kind else Stalk(y, x) for kind, x, y in (key_a, key_b))
+        return fn(a, b, *args)
+
+    @wraps(fn)
+    def keyed(a, b, *args):
+        A = args[-1]
+        k = _anchor(a, A)
+        return cached(_frame_key(a, k, A), _frame_key(b, k, A), *args)
+
+    keyed.cache_info, keyed.cache_clear = cached.cache_info, cached.cache_clear
+    return keyed
+
+
 # -- homotopy-category Hom spaces --------------------------------------------
 
 class HomSet:
@@ -402,7 +449,7 @@ def hom_complex_dim(T: TwoTerm, U: TwoTerm, k: int) -> int:
     return sum(_summand_hom_dim(a, b, k, T.algebra) for a in T.summands for b in U.summands)
 
 
-@lru_cache(maxsize=None)
+@_rotation_keyed
 def _summand_hom_dim(a: Summand, b: Summand, k: int, A: Algebra) -> int:
     """dim Hom_K(a, b[k]) for single summands; Hom_K is additive over summands."""
     return HomSet(_summand_complex(a, A), shift(_summand_complex(b, A), k)).dim
@@ -448,14 +495,6 @@ def is_silting(T: TwoTerm) -> bool:
     if hom_complex_dim(T, T, 1) != 0:
         return False
     return abs(_int_det([summand_class(s, A) for s in T.summands])) == 1
-
-
-def _rotate(s: Summand, k: int, A: Algebra) -> Summand:
-    """sigma^k(s) for the rotation sigma: i -> i + 1 of the quiver; it keeps
-    every polynomial degree."""
-    if isinstance(s, Stalk):
-        return Stalk(_bar(s.idx + k, A.n), s.deg)
-    return Arrow(_bar(s.src + k, A.n), _bar(s.tgt + k, A.n))
 
 
 def nu_summand(s: Summand, A: Algebra) -> Summand:
@@ -547,9 +586,11 @@ def _summand_complex(s: Summand, A: Algebra) -> ProjComplex:
     return C
 
 
-@lru_cache(maxsize=None)
+@_rotation_keyed
 def _summand_homset(a: Summand, b: Summand, A: Algebra) -> HomSet:
-    """Hom_K between two single-summand complexes; callers must not mutate it."""
+    """Hom_K between two single-summand complexes, built in the frame that
+    anchors a; its coordinates and maps are positional, so they serve every
+    rotation of (a, b).  Callers must not mutate it."""
     HS = HomSet(_summand_complex(a, A), _summand_complex(b, A))
     for M in (HS.cycles, HS.boundaries, HS._br):
         _frozen(M)
@@ -566,7 +607,7 @@ def _is_nilpotent(z: np.ndarray, HS: HomSet, A: Algebra) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
+@_rotation_keyed
 def _summand_radical(a: Summand, b: Summand, A: Algebra) -> tuple[dict, ...]:
     """Chain maps spanning the non-isomorphisms a -> b modulo homotopy."""
     HS = _summand_homset(a, b, A)
@@ -666,7 +707,9 @@ def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
     Returns (mutated complex, {orbit summand: replacement}) or (None, None)
     when the mutation leaves the two-term window.  Mutation commutes with
     the rotation sigma, so each s in the orbit is mutated, and memoised, in
-    the frame sigma^k that puts (sigma^k s, sorted sigma^k rest) first.
+    the frame sigma^k that puts sigma^k s at vertex 1 (`_anchor`).  Since
+    `sort_key` compares vertices after kind and degree, that k alone puts
+    (sigma^k s, sorted sigma^k rest) first.
     """
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be minus or plus, got {sign!r}")
@@ -680,8 +723,7 @@ def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
     rest = [s for s in T.summands if s not in orbit]
     replaced: dict[Summand, Summand] = {}
     for s in sorted(orbit, key=lambda x: x.sort_key()):
-        k = min(range(A.n), key=lambda k: (_rotate(s, k, A).sort_key(),
-                                           sorted(_rotate(m, k, A).sort_key() for m in rest)))
+        k = _anchor(s, A)
         sk = _rotate(s, k, A)
         restk = tuple(sorted((_rotate(m, k, A) for m in rest), key=lambda x: x.sort_key()))
         try:

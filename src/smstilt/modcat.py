@@ -310,9 +310,11 @@ def factor_rows(M, N, A: Algebra, p: int = 2) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-# Stable Hom (here, in smscfg's tables and complexes._summand_hom_dim) is
-# cached per pair, not per rotation class: tau = sigma, so a rotation-keyed
-# cache would make the functors suite compare each entry with itself.
+# Stable Hom (here and in smscfg's tables) is cached per pair, not per
+# rotation class: the functors suite checks tau-invariance of these entries
+# and tau = sigma, so a rotation-keyed cache would compare each with itself.
+# Only this module-side stable Hom must stay per pair; complex-side Hom_K is
+# keyed per rotation class (complexes._rotation_keyed).
 @lru_cache(maxsize=None)
 def _stable_hom_dim_cached(M: Ind, N: Ind, A: Algebra, p: int) -> int:
     full = hom_dim(M, N, A)

@@ -185,16 +185,27 @@ def _mutate_point(pt: Point, Kset: frozenset, sign: str, A: Algebra) -> Point:
     """The image of one point under mutation at Kset; it depends on nothing
     else in the configuration.  Mutation commutes with the rotation sigma, so
     it is memoised per rotation class: computed on sigma^k of (pt, Kset) for
-    the k that puts (sorted sigma^k Kset, sigma^k pt) first, rotated back."""
-    k = min(range(A.n), key=lambda k: (sorted(_rotate(q, k, A) for q in Kset), _rotate(pt, k, A)))
+    the k that puts (sorted sigma^k Kset, sigma^k pt) first, rotated back.
+    The frames that put sorted sigma^k Kset first come from `_frames`, once
+    per Kset; pt only breaks the tie between them."""
+    Kc, ks = _frames(Kset, A)
+    k = min(ks, key=lambda k: _rotate(pt, k, A))
     try:
-        new = _mutate_point_in_frame(_rotate(pt, k, A),
-                                     frozenset(_rotate(q, k, A) for q in Kset), sign, A)
+        new = _mutate_point_in_frame(_rotate(pt, k, A), Kc, sign, A)
     except modcat.SplitCone as exc:
         kind = "cone" if sign == "minus" else "cocone"
         cone = tuple(sorted(_rotate(q, -k, A) for q in exc.args[0]))
         raise RuntimeError(f"mutation {kind} of {pt} is not indecomposable: {cone}") from None
     return _rotate(new, -k, A)
+
+
+@lru_cache(maxsize=None)
+def _frames(Kset: frozenset, A: Algebra) -> tuple[frozenset, tuple[int, ...]]:
+    """The canonical rotation sigma^k Kset, the one that sorts first, and
+    every k in range(n) that gives it."""
+    rotations = [sorted(_rotate(q, k, A) for q in Kset) for k in range(A.n)]
+    first = min(rotations)
+    return frozenset(first), tuple(k for k, r in enumerate(rotations) if r == first)
 
 
 @lru_cache(maxsize=None)

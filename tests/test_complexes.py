@@ -340,6 +340,42 @@ def test_rotated_mutation_matches_reference():
                         assert got == want, (T, orbit, sign, k)
 
 
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (2, 6), (6, 9), (5, 10)])
+def test_closed_form_frame_matches_search(n, ell):
+    # the frame rule that _anchor replaced: search every k for the one that
+    # puts (sigma^k s, sorted sigma^k rest) first
+    A = Algebra(n, ell)
+    for T in transport.two_term_objects(A):
+        for orbit in nu_orbits(T):
+            rest = [s for s in T.summands if s not in orbit]
+            for s in orbit:
+                k = min(range(n), key=lambda k: (_rotate(s, k, A).sort_key(),
+                                                 sorted(_rotate(m, k, A).sort_key() for m in rest)))
+                assert cx._anchor(s, A) == k, (T, s)
+
+
+def _same_maps(fs, gs):
+    return len(fs) == len(gs) and all(
+        f.keys() == g.keys() and all(np.array_equal(f[key], g[key]) for key in f)
+        for f, g in zip(fs, gs))
+
+
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (6, 9)])
+def test_rotation_keyed_caches_match_uncached(n, ell, monkeypatch):
+    # the references build every HomSet on the unrotated pair itself
+    A = Algebra(n, ell)
+    pairs = {(a, b) for T in transport.two_term_objects(A) for a in T.summands for b in T.summands}
+    with monkeypatch.context() as m:
+        m.setattr(cx, "_summand_homset", cx._summand_homset.__wrapped__)
+        want = {(a, b): ([cx._summand_hom_dim.__wrapped__(a, b, j, A) for j in (-1, 0, 1)],
+                         cx._summand_radical.__wrapped__(a, b, A)) for a, b in pairs}
+    for (a, b), (dims, rad) in want.items():
+        for k in range(n):
+            ak, bk = _rotate(a, k, A), _rotate(b, k, A)
+            assert [cx._summand_hom_dim(ak, bk, j, A) for j in (-1, 0, 1)] == dims, (a, b, k)
+            assert _same_maps(cx._summand_radical(ak, bk, A), rad), (a, b, k)
+
+
 def test_cached_arrays_are_read_only():
     s1, s2, s3 = Stalk(1, 0), Stalk(2, 0), Stalk(3, 0)
     HS = cx._summand_homset(s1, s3, A36)

@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import smstilt
@@ -35,3 +39,44 @@ def _uncalled_definitions():
 
 def test_no_uncalled_definitions():
     assert _uncalled_definitions() == set(KEPT)
+
+
+def _memo_caches():
+    """module.name of every decorated module-level function; each decorator
+    on a function in src/ (lru_cache, complexes._rotation_keyed) memoises."""
+    return sorted(f"{path.stem}.{node.name}" for path in SRC.glob("*.py")
+                  for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.decorator_list)
+
+
+# In a fresh interpreter: per memo cache, whether it has cache_info and
+# cache_clear and its currsize; then the currsize of every module attribute
+# with a cache_info, which is how the benchmark checks that caches start cold.
+COLD_CACHE_SCRIPT = """
+import importlib, json, sys
+names = json.loads(sys.argv[1])
+mods = {m: importlib.import_module("smstilt." + m) for m in {q.split(".")[0] for q in names}}
+report = {}
+for q in names:
+    mod, attr = q.split(".")
+    obj = getattr(mods[mod], attr)
+    info = getattr(obj, "cache_info", None)
+    report[q] = [callable(info), callable(getattr(obj, "cache_clear", None)),
+                 info().currsize if callable(info) else None]
+scanned = {f"{m}.{a}": o.cache_info().currsize for m, mod in mods.items()
+           for a, o in vars(mod).items() if hasattr(o, "cache_info")}
+print(json.dumps([report, scanned]))
+"""
+
+
+def test_memo_caches_expose_cache_info_and_start_cold():
+    names = _memo_caches()
+    assert "complexes._summand_homset" in names and "smscfg._frames" in names
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", COLD_CACHE_SCRIPT, json.dumps(names)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report, scanned = json.loads(done.stdout)
+    assert report == {q: [True, True, 0] for q in names}
+    # the attribute scan sees every memo cache, each empty
+    assert set(names) <= set(scanned) and not any(scanned.values())
