@@ -310,13 +310,16 @@ def factor_rows(M, N, A: Algebra, p: int = 2) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-# Stable Hom (here and in smscfg's tables) is cached per pair, not per
-# rotation class: the functors suite checks tau-invariance of these entries
-# and tau = sigma, so a rotation-keyed cache would compare each with itself.
-# Only this module-side stable Hom must stay per pair; complex-side Hom_K is
-# keyed per rotation class (complexes._rotation_keyed).
+# Stable Hom is cached per rotation class of the pair.  For M = Ind(i, l),
+# N = Ind(j, r) and d = (j - i) mod n, `overlap_lengths` reads only d, the
+# cover P(N) has socle difference (d - r + 1 + ell) mod n from M, and
+# `_hom_matrix` reads lengths only, so `hom_dim` and `factor_rows` run one
+# matrix computation for all pairs of a class (l, r, d).  As tau = sigma, the
+# functors suite's tau check compares each class with itself; it catches a tau
+# that is not a rotation.
 @lru_cache(maxsize=None)
-def _stable_hom_dim_cached(M: Ind, N: Ind, A: Algebra, p: int) -> int:
+def _stable_hom_class(l: int, r: int, d: int, A: Algebra, p: int) -> int:
+    M, N = Ind(1, l), Ind(_bar(1 + d, A.n), r)
     full = hom_dim(M, N, A)
     if full == 0:
         return 0
@@ -326,9 +329,10 @@ def _stable_hom_dim_cached(M: Ind, N: Ind, A: Algebra, p: int) -> int:
 def stable_hom_dim(M, N, A: Algebra, p: int = 2) -> int:
     """dim of Hom(M, N) modulo maps factoring through projectives."""
     Ms, Ns = as_sum(M), as_sum(N)
-    if len(Ms) == 1 and len(Ns) == 1:
-        return _stable_hom_dim_cached(Ms[0], Ns[0], A, p)
-    return sum(_stable_hom_dim_cached(a, b, A, p) for a in Ms for b in Ns)
+    for m in Ms + Ns:
+        check_ind(m, A)
+    return sum(_stable_hom_class(a.length, b.length, (b.socle - a.socle) % A.n, A, p)
+               for a in Ms for b in Ns)
 
 
 def stable_reps(M, N, A: Algebra, p: int = 2) -> list[np.ndarray]:

@@ -113,6 +113,44 @@ def test_stable_hom_cross_field():
             assert stable_hom_dim(M, N, A36, p=2) == stable_hom_dim(M, N, A36, p=3)
 
 
+def closed_form_stable_hom(M: Ind, N: Ind, A: Algebra) -> int:
+    """Oracle with no matrices: the basis map of image length t lifts
+    through P(N) ->> N exactly when a map M -> P(N) of image length
+    t + (ell + 1 - r) exists, i.e. when t <= l + r - (ell + 1)."""
+    return sum(t > M.length + N.length - A.loewy for t in modcat.overlap_lengths(M, N, A))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, ell", [(2, 4), (3, 3), (3, 6), (4, 4), (4, 6), (4, 8),
+                                    (6, 4), (6, 9), (5, 10)])
+def test_stable_hom_matches_closed_form(n, ell, p):
+    A = Algebra(n, ell)
+    inds = modcat.all_inds(A)
+    for M in inds:
+        for N in inds:
+            assert stable_hom_dim(M, N, A, p) == closed_form_stable_hom(M, N, A), (M, N)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (6, 9)])
+def test_stable_hom_class_core_matches_per_pair(n, ell, p):
+    # the core answers each pair from its rotation class's representative
+    A = Algebra(n, ell)
+    inds = modcat.all_inds(A)
+    for M in inds:
+        for N in inds:
+            direct = hom_dim(M, N, A) - gf.rank(modcat.factor_rows(M, N, A, p), p)
+            assert stable_hom_dim(M, N, A, p) == direct, (M, N)
+
+
+def test_stable_hom_dim_checks_every_summand():
+    ok = Ind(1, 1)
+    for bad in (Ind(0, 1), Ind(A36.n + 1, 1), Ind(1, A36.loewy + 1)):
+        for M, N in ((bad, ok), (ok, bad), ((ok, bad), ok), (ok, (ok, bad))):
+            with pytest.raises(ValueError):
+                stable_hom_dim(M, N, A36)
+
+
 def test_syzygy_formulas():
     assert omega(Ind(1, 1), A36) == Ind(1, 6)
     assert omega_inv(Ind(1, 1), A36) == Ind(3, 6)

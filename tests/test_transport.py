@@ -1,9 +1,9 @@
 import pytest
 
-from smstilt import complexes as cx, smscfg
+from smstilt import complexes as cx, modcat, smscfg
 from smstilt.cli import main
 from smstilt.complexes import Stalk, TwoTerm
-from smstilt.modcat import Algebra
+from smstilt.modcat import Algebra, Ind, _bar
 from smstilt.transport import (bfs_sequence, canonical_sequence,
                                exchange_quiver, fmap, fmap_tracked,
                                transport_along, two_term_objects, verify)
@@ -202,3 +202,67 @@ def test_covering_case_with_multiplicity():
     assert len(objs) == len(images) == 6
     assert images == {C.points for C in smscfg.enumerate_configurations(A)}
     assert verify("mutation-compat", A)["status"] == "pass"
+
+
+def reference_functor_pairs(A):
+    """The functors suite's pair checks, with stable Hom computed per pair."""
+    bad = []
+    nonproj = modcat.nonprojective_inds(A)
+    for M in nonproj:
+        for N in nonproj:
+            pair = [M.to_json(), N.to_json()]
+            base = modcat.stable_hom_dim(M, N, A)
+            if base != modcat.stable_hom_dim(modcat.tau(M, A), modcat.tau(N, A), A):
+                bad.append({"identity": "stable hom tau-invariance", "pair": pair})
+            if base != modcat.stable_hom_dim(modcat.omega(M, A), modcat.omega(N, A), A):
+                bad.append({"identity": "stable hom omega-invariance", "pair": pair})
+            if base != modcat.stable_hom_dim(M, N, A, p=3):
+                bad.append({"identity": "GF(2)/GF(3) agreement", "pair": pair})
+    return bad
+
+
+@pytest.fixture
+def fresh_stable_tables():
+    # the tables are built under the injected fault, and must not outlive it
+    caches = (smscfg._stable_table, smscfg._mask_table)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _fault_at(real, target, wrong):
+    return lambda M, A: wrong(real(M, A)) if M == target else real(M, A)
+
+
+FUNCTOR_FAULTS = {
+    # tau changes the length of one module
+    "tau-length": ("tau", Ind(2, 3), lambda M: Ind(M.socle, M.length + 1)),
+    # ... and sends one module to a projective
+    "tau-projective": ("tau", Ind(2, 6), lambda M: Ind(M.socle, M.length + 1)),
+    # omega is off by one on one module
+    "omega-socle": ("omega", Ind(1, 2), lambda M: Ind(_bar(M.socle + 1, A36.n), M.length)),
+}
+
+
+@pytest.mark.parametrize("fault", [*FUNCTOR_FAULTS, "gf3-class"])
+def test_functors_table_checks_match_per_pair_reference(fault, monkeypatch,
+                                                         fresh_stable_tables):
+    if fault == "gf3-class":
+        real = modcat._stable_hom_class
+        monkeypatch.setattr(modcat, "_stable_hom_class", lambda l, r, d, A, p:
+                            real(l, r, d, A, p) + (p == 3 and (l, r, d) == (2, 3, 1)))
+    else:
+        name, target, wrong = FUNCTOR_FAULTS[fault]
+        monkeypatch.setattr(modcat, name, _fault_at(getattr(modcat, name), target, wrong))
+    report = verify("functors", A36)
+    want = reference_functor_pairs(A36)
+    assert report["status"] == "fail" and want
+    assert [c for c in report["counterexamples"] if "pair" in c] == want
+
+
+def test_functors_rejects_an_image_outside_the_algebra(monkeypatch):
+    monkeypatch.setattr(modcat, "tau", _fault_at(modcat.tau, Ind(2, 3), lambda M: Ind(0, 1)))
+    with pytest.raises(ValueError):
+        verify("functors", A36)
