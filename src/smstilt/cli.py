@@ -46,10 +46,14 @@ def _algebra(args) -> Algebra:
     return Algebra(args.n, args.ell)
 
 
-def _config(args, A: Algebra) -> smscfg.Configuration:
+def _config(args, A: Algebra, checked: bool = True) -> smscfg.Configuration:
+    """The configuration read from --in; unless checked is False, points that
+    do not form a configuration are an input error."""
     C = smscfg.config_from_json(_read_json(args.infile))
     if C.algebra != A:
         raise ValueError("configuration algebra does not match --n/--ell")
+    if checked and not smscfg.is_configuration(C, A):
+        raise ValueError(f"{args.infile}: the points are not a configuration of A_{A.n}^{A.ell}")
     return C
 
 
@@ -143,7 +147,7 @@ def cmd_enumerate_sms(args) -> int:
 
 def cmd_is_config(args) -> int:
     A = _algebra(args)
-    C = _config(args, A)
+    C = _config(args, A, checked=False)
     ok = smscfg.is_configuration(C, A)
     _emit(args, {"is_configuration": ok}, "configuration" if ok else "not a configuration")
     return 0

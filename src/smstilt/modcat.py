@@ -408,6 +408,8 @@ def cone_of_stable_map(g: ModMap, A: Algebra, p: int = 2) -> ModSum:
 
     Realised as the pushout of the injective envelope of M and g; the
     triangle M -> N -> C -> Omega^{-1} M holds in the stable category.
+    A map with zero target or zero source needs no pushout: the triangles
+    M -> 0 -> Omega^{-1} M and 0 -> N -> N give the cone directly.
     """
     if g.p != p:
         raise ValueError(f"map is over GF({g.p}), cone asked over GF({p})")
@@ -415,6 +417,10 @@ def cone_of_stable_map(g: ModMap, A: Algebra, p: int = 2) -> ModSum:
         if is_projective(m, A):
             raise ValueError("cone arguments must have no projective summands")
     g.check(A)
+    if not g.target:
+        return tuple(sorted(omega_inv(m, A) for m in g.source))
+    if not g.source:
+        return tuple(sorted(g.target))
     mult = pushout_decompose(g, A, p)
     parts: list[Ind] = []
     for ind in sorted(mult):
@@ -452,7 +458,8 @@ def _min_approx(Z: Ind, C, A: Algebra, p: int, left: bool) -> ModMap:
     check_ind(Z, A)
     cs = sorted(set(C))
     pair = {c: ((Z,), (c,)) if left else ((c,), (Z,)) for c in cs}
-    reps = {c: stable_reps(*pair[c], A, p) for c in cs}
+    reps = {c: stable_reps(*pair[c], A, p) if stable_hom_dim(*pair[c], A, p) else []
+            for c in cs}
     pieces: list[tuple[Ind, np.ndarray]] = []
     for c in cs:
         if not reps[c]:
@@ -491,12 +498,13 @@ def _strip_projectives(E: ModSum, A: Algebra) -> ModSum:
 def _core_middle_terms(B: ModSum, C: ModSum, A: Algebra, p: int = 2) -> set[ModSum]:
     """Middle terms of short exact sequences 0 -> B -> E -> C -> 0 with B, C
     projective-free, via pushouts of 0 -> Omega C -> P(C) -> C -> 0 along
-    representatives of Ext^1(C, B) = stable Hom(Omega C, B)."""
-    if not C:
-        return {B}
-    if not B:
-        return {C}
+    representatives of Ext^1(C, B) = stable Hom(Omega C, B).  The zero class
+    gives the split term B + C with no pushout, so B or C zero, or
+    Ext^1(C, B) = 0, gives that term alone."""
+    out: set[ModSum] = {tuple(sorted(B + C))}
     OC = tuple(omega(c, A) for c in C)
+    if not stable_hom_dim(OC, B, A, p):
+        return out
     Ps, _ = _proj_cover_sum(C, A)
     ooffs, poffs = sum_offsets(OC), sum_offsets(Ps)
     iota = np.zeros((sum_dim(Ps), sum_dim(OC)), dtype=np.int64)
@@ -504,8 +512,9 @@ def _core_middle_terms(B: ModSum, C: ModSum, A: Algebra, p: int = 2) -> set[ModS
         # Omega C_k is the kernel of P(C_k) ->> C_k, included socle-on-socle.
         iota[poffs[k]:poffs[k + 1], ooffs[k]:ooffs[k + 1]] = _hom_matrix(oc, Ps[k], oc.length)
     reps = stable_reps(OC, B, A, p)
-    out: set[ModSum] = set()
     for coeffs in product(range(p), repeat=len(reps)):
+        if not any(coeffs):
+            continue
         theta = np.zeros((sum_dim(B), sum_dim(OC)), dtype=np.int64)
         for c, rep in zip(coeffs, reps):
             theta = (theta + c * rep) % p
@@ -526,8 +535,13 @@ class ExtensionClosure:
 
 
 def extension_closure(S, A: Algebra, bound: int) -> ExtensionClosure:
-    """Closure of S ∪ {0} under stable-category extensions, as projective-free
-    representatives of total dimension at most `bound`."""
+    """Closure of S ∪ {0} under extensions, as projective-free representatives
+    of total dimension at most `bound`, truncated there: an extension is
+    formed only when its two end terms have total dimension at most `bound`.
+    This is not Filt(S) in general.  On A_2^4 the sequence
+    0 -> Ind(2,3) -> Ind(2,1) + Ind(2,5) -> Ind(2,3) -> 0 puts Ind(2,1) in
+    Filt({Ind(2,3)}), but its end terms have dimension 6, so with bound 4
+    the only indecomposable in the closure of {Ind(2,3)} is Ind(2,3)."""
     gens = sorted({s if isinstance(s, Ind) else Ind(*s) for s in S})
     for s in gens:
         check_ind(s, A)
@@ -551,6 +565,9 @@ def extension_closure(S, A: Algebra, bound: int) -> ExtensionClosure:
 
 @lru_cache(maxsize=None)
 def closure_inds(K: ModSum, A: Algebra) -> tuple[Ind, ...]:
-    """Indecomposable members of the extension closure of the set K."""
+    """Indecomposable members of `extension_closure(K, A, bound=A.ell)`: the
+    closure of K ∪ {0} under extensions, truncated at total dimension ell.
+    This is not Filt(K) in general: on A_2^4, Ind(2,1) lies in
+    Filt({Ind(2,3)}), but the closure of (Ind(2,3),) is just (Ind(2,3),)."""
     cl = extension_closure(K, A, bound=A.ell)
     return tuple(sorted(cl.indecomposables))

@@ -242,3 +242,22 @@ def test_well_formed_argument_input_exits_0(capsys, tmp_path, argv, obj):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
     assert run(capsys, *argv, "--in", str(path))[0] == 0
+
+
+# point sets of A_3^6 that are not configurations: two simples do not cover
+# the quiver, and the four points hold the nonzero stable map (1, 1) -> (1, 2)
+NOT_CONFIGS = {"two points": [[1, 1], [2, 1]], "four points": [[1, 1], [2, 1], [3, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("verb", [
+    ["sms-mutate", "--sign", "minus", "--at", "[[1,1]]"], ["prune"], ["tilde"],
+], ids=["sms-mutate", "prune", "tilde"])
+@pytest.mark.parametrize("case", NOT_CONFIGS)
+def test_sms_verbs_reject_non_configurations(capsys, tmp_path, verb, case):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"n": 3, "ell": 6, "points": NOT_CONFIGS[case]}))
+    code, out, err = run(capsys, *verb, "--n", "3", "--ell", "6", "--in", str(path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "not a configuration of A_3^6" in err
+    code, out, _ = run(capsys, "is-config", "--n", "3", "--ell", "6", "--in", str(path), "--json")
+    assert code == 0 and json.loads(out) == {"is_configuration": False}

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -134,13 +134,16 @@ def test_stable_hom_matches_closed_form(n, ell, p):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (6, 9)])
 def test_stable_hom_class_core_matches_per_pair(n, ell, p):
-    # the core answers each pair from its rotation class's representative
+    # the core answers each pair from its rotation class's representative;
+    # `stable_reps` returns a basis of the same size, so `_min_approx` may
+    # skip it exactly where the core reads 0
     A = Algebra(n, ell)
     inds = modcat.all_inds(A)
     for M in inds:
         for N in inds:
             direct = hom_dim(M, N, A) - gf.rank(modcat.factor_rows(M, N, A, p), p)
             assert stable_hom_dim(M, N, A, p) == direct, (M, N)
+            assert len(modcat.stable_reps(M, N, A, p)) == direct, (M, N)
 
 
 def test_stable_hom_dim_checks_every_summand():
@@ -492,3 +495,111 @@ def test_extension_closure():
     # idempotent: closing the closure adds nothing
     cl3 = extension_closure(sorted(cl2.indecomposables), A36, bound=6)
     assert cl3.objects == cl2.objects
+
+
+# ---------------------------------------------------------------------------
+# The zero cases (split extensions, empty approximation components, cones of
+# zero maps) against the matrix model they skip.
+# ---------------------------------------------------------------------------
+
+LADDER = [(3, 6), (4, 4), (6, 9)]
+LADDER_IDS = ["A_3^6", "A_4^4", "A_6^9"]
+
+
+def _pushout_middle_terms(B, C, A, p=2):
+    """Reference: one pushout and `decompose` for every coefficient vector
+    over the stable Hom basis, the zero vector included."""
+    if not C:
+        return {B}
+    if not B:
+        return {C}
+    OC = tuple(omega(c, A) for c in C)
+    Ps, _ = _proj_cover_sum(C, A)
+    ooffs, poffs = modcat.sum_offsets(OC), modcat.sum_offsets(Ps)
+    iota = np.zeros((modcat.sum_dim(Ps), modcat.sum_dim(OC)), dtype=np.int64)
+    for k, oc in enumerate(OC):
+        iota[poffs[k]:poffs[k + 1], ooffs[k]:ooffs[k + 1]] = modcat._hom_matrix(oc, Ps[k], oc.length)
+    reps = modcat.stable_reps(OC, B, A, p)
+    out = set()
+    for coeffs in product(range(p), repeat=len(reps)):
+        theta = np.zeros((modcat.sum_dim(B), modcat.sum_dim(OC)), dtype=np.int64)
+        for c, rep in zip(coeffs, reps):
+            theta = (theta + c * rep) % p
+        vv, DQ = modcat._quotient(B + Ps, np.concatenate([theta, iota]), A, p)
+        mult = modcat.decompose(vv, DQ, A, p)
+        out.add(tuple(ind for ind in sorted(mult) for _ in range(mult[ind])))
+    return out
+
+
+def _closure_visits(A, most, monkeypatch):
+    """Every (B, (s,)) that `extension_closure` passes to `_core_middle_terms`
+    for the unions of at most `most` nu-orbits of every configuration of A."""
+    subsets = set()
+    for S in enumerate_configurations(A):
+        orbits = nu_orbits_points(S)
+        for r in range(1, min(most, len(orbits)) + 1):
+            for Ks in combinations(orbits, r):
+                subsets.add(tuple(sorted(Ind(*q) for orbit in Ks for q in orbit)))
+    visits = set()
+    real = modcat._core_middle_terms
+
+    def record(B, C, A, p=2):
+        visits.add((B, C))
+        return real(B, C, A, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(modcat, "_core_middle_terms", record)
+        for K in sorted(subsets):
+            extension_closure(K, A, bound=A.ell)
+    return visits
+
+
+@pytest.mark.parametrize("n, ell, most", [(3, 6, 3), (4, 4, 4), (6, 9, 1)], ids=LADDER_IDS)
+def test_core_middle_terms_match_pushout_loop(n, ell, most, monkeypatch):
+    # every Nakayama-stable subset on A_3^6 and A_4^4; on A_6^9 the single
+    # orbits, the subsets that mutation at one orbit closes: two of its three
+    # orbits already make about 20000 distinct (B, (s,)), too many to run here
+    A = Algebra(n, ell)
+    visits = _closure_visits(A, most, monkeypatch)
+    split = [(B, C) for B, C in visits if B and not stable_hom_dim(
+        tuple(omega(c, A) for c in C), B, A)]
+    assert split and len(split) < len(visits)  # both kinds of case are covered
+    for B, C in sorted(visits):
+        assert _core_middle_terms(B, C, A) == _pushout_middle_terms(B, C, A), (B, C)
+
+
+def test_core_middle_terms_match_pushout_loop_examples():
+    A33 = Algebra(3, 3)
+    cases = [((Ind(1, 1),), (Ind(1, 1),)), ((Ind(2, 1),), (Ind(1, 1),)),
+             ((Ind(1, 2),), (Ind(2, 1),)), ((), (Ind(2, 1),)), ((Ind(1, 2),), ()),
+             ((Ind(1, 1), Ind(2, 1)), (Ind(3, 1),)), ((Ind(3, 1),), (Ind(1, 1), Ind(2, 1)))]
+    for p in (2, 3):
+        for B, C in cases:
+            assert _core_middle_terms(B, C, A33, p) == _pushout_middle_terms(B, C, A33, p)
+
+
+def _pushout_cone(g, A, p):
+    """Reference: the cone read off the pushout, projectives dropped."""
+    mult = modcat.pushout_decompose(g, A, p)
+    return tuple(ind for ind in sorted(mult) if not modcat.is_projective(ind, A)
+                 for _ in range(mult[ind]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, ell", LADDER, ids=LADDER_IDS)
+def test_cones_of_zero_maps_match_pushout(n, ell, p):
+    # M -> 0 has cone Omega^{-1} M and 0 -> N has cone N
+    A = Algebra(n, ell)
+    inds = modcat.nonprojective_inds(A)
+    sums = [(M,) for M in inds] + list(combinations_with_replacement(inds, 2))
+    for X in sums:
+        d = modcat.sum_dim(X)
+        to_zero = ModMap(X, (), np.zeros((0, d), dtype=np.int64), p)
+        from_zero = ModMap((), X, np.zeros((d, 0), dtype=np.int64), p)
+        ref_to, ref_from = _pushout_cone(to_zero, A, p), _pushout_cone(from_zero, A, p)
+        assert cone_of_stable_map(to_zero, A, p) == ref_to, X
+        assert cone_of_stable_map(from_zero, A, p) == ref_from, X
+        # the pushout's answer does not depend on the order of the summands
+        assert cone_of_stable_map(ModMap(X[::-1], (), to_zero.matrix, p), A, p) == ref_to
+        assert cone_of_stable_map(ModMap((), X[::-1], from_zero.matrix, p), A, p) == ref_from
+
