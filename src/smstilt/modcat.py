@@ -390,6 +390,15 @@ def _quotient(target: ModSum, F: np.ndarray, A: Algebra, p: int = 2):
     return [vt[c] for c in keep], W[np.ix_(keep, keep)].T
 
 
+def _expand(mult: dict[Ind, int]) -> ModSum:
+    """The sorted direct sum with the given multiplicities."""
+    return tuple(ind for ind in sorted(mult) for _ in range(mult[ind]))
+
+
+def _strip_projectives(E: ModSum, A: Algebra) -> ModSum:
+    return tuple(m for m in E if not is_projective(m, A))
+
+
 def pushout_decompose(g: ModMap, A: Algebra, p: int = 2) -> dict[Ind, int]:
     """Decomposition of the pushout (I(M) ⊕ N)/M along (inclusion, g)."""
     Ms, Ns = g.source, g.target
@@ -421,12 +430,7 @@ def cone_of_stable_map(g: ModMap, A: Algebra, p: int = 2) -> ModSum:
         return tuple(sorted(omega_inv(m, A) for m in g.source))
     if not g.source:
         return tuple(sorted(g.target))
-    mult = pushout_decompose(g, A, p)
-    parts: list[Ind] = []
-    for ind in sorted(mult):
-        if not is_projective(ind, A):
-            parts.extend([ind] * mult[ind])
-    return tuple(parts)
+    return _strip_projectives(_expand(pushout_decompose(g, A, p)), A)
 
 
 class SplitCone(Exception):
@@ -453,23 +457,21 @@ def _min_approx(Z: Ind, C, A: Algebra, p: int, left: bool) -> ModMap:
     The multiplicity of c in C is the dimension of stable Hom(Z, c) modulo
     the radical composites rad(c', c) . Hom(Z, c') over c' in C (dually
     Hom(c', Z) . rad(c, c')), and a basis of that quotient gives the
-    components of the map.
+    components of the map.  Both are read from `hom_basis` modulo
+    `factor_rows`; composites of maps through projectives stay in it.
     """
     check_ind(Z, A)
     cs = sorted(set(C))
     pair = {c: ((Z,), (c,)) if left else ((c,), (Z,)) for c in cs}
-    reps = {c: stable_reps(*pair[c], A, p) if stable_hom_dim(*pair[c], A, p) else []
-            for c in cs}
+    homs = {c: hom_basis(*pair[c], A) for c in cs if stable_hom_dim(*pair[c], A, p)}
     pieces: list[tuple[Ind, np.ndarray]] = []
-    for c in cs:
-        if not reps[c]:
-            continue
+    for c, basis in homs.items():
         ideal = [factor_rows(*pair[c], A, p)]
-        for c2 in cs:
+        for c2 in homs:
             for u in (_radical(c2, c, A) if left else _radical(c, c2, A)):
-                ideal.extend(((u @ f if left else f @ u) % p).reshape(1, -1) for f in reps[c2])
-        rows = np.array([f.reshape(-1) for f in reps[c]])
-        pieces.extend((c, reps[c][k]) for k in gf.independent_mod(np.concatenate(ideal), rows, p))
+                ideal.extend(((u @ f if left else f @ u) % p).reshape(1, -1) for f in homs[c2])
+        rows = np.array([f.reshape(-1) for f in basis])
+        pieces.extend((c, basis[k]) for k in gf.independent_mod(np.concatenate(ideal), rows, p))
     Xs = tuple(c for c, _ in pieces)
     mat = (np.concatenate([f for _, f in pieces], axis=0 if left else 1) if pieces
            else np.zeros((0, Z.length) if left else (Z.length, 0), dtype=np.int64))
@@ -491,58 +493,34 @@ def min_right_approx(C, Z: Ind, A: Algebra, p: int = 2) -> ModMap:
 # Extensions.
 # ---------------------------------------------------------------------------
 
-def _strip_projectives(E: ModSum, A: Algebra) -> ModSum:
-    return tuple(m for m in E if not is_projective(m, A))
-
-
 def _core_middle_terms(B: ModSum, C: ModSum, A: Algebra, p: int = 2) -> set[ModSum]:
     """Middle terms of short exact sequences 0 -> B -> E -> C -> 0 with B, C
     projective-free, via pushouts of 0 -> Omega C -> P(C) -> C -> 0 along
-    representatives of Ext^1(C, B) = stable Hom(Omega C, B).  The zero class
-    gives the split term B + C with no pushout, so B or C zero, or
-    Ext^1(C, B) = 0, gives that term alone."""
+    representatives theta of Ext^1(C, B) = stable Hom(Omega C, B).  P(C) is
+    the injective envelope of Omega C, so that is `pushout_decompose` of
+    theta.  The zero class gives the split term B + C with no pushout, so
+    B or C zero, or Ext^1(C, B) = 0, gives that term alone."""
     out: set[ModSum] = {tuple(sorted(B + C))}
     OC = tuple(omega(c, A) for c in C)
     if not stable_hom_dim(OC, B, A, p):
         return out
-    Ps, _ = _proj_cover_sum(C, A)
-    ooffs, poffs = sum_offsets(OC), sum_offsets(Ps)
-    iota = np.zeros((sum_dim(Ps), sum_dim(OC)), dtype=np.int64)
-    for k, oc in enumerate(OC):
-        # Omega C_k is the kernel of P(C_k) ->> C_k, included socle-on-socle.
-        iota[poffs[k]:poffs[k + 1], ooffs[k]:ooffs[k + 1]] = _hom_matrix(oc, Ps[k], oc.length)
     reps = stable_reps(OC, B, A, p)
     for coeffs in product(range(p), repeat=len(reps)):
-        if not any(coeffs):
-            continue
-        theta = np.zeros((sum_dim(B), sum_dim(OC)), dtype=np.int64)
-        for c, rep in zip(coeffs, reps):
-            theta = (theta + c * rep) % p
-        F = np.concatenate([theta, iota])
-        vv, DQ = _quotient(B + Ps, F, A, p)
-        mult = decompose(vv, DQ, A, p)
-        E: list[Ind] = []
-        for ind in sorted(mult):
-            E.extend([ind] * mult[ind])
-        out.add(tuple(E))
+        if any(coeffs):
+            theta = sum(c * rep for c, rep in zip(coeffs, reps))
+            out.add(_expand(pushout_decompose(ModMap(OC, B, theta, p), A, p)))
     return out
 
 
-@dataclass(frozen=True)
-class ExtensionClosure:
-    objects: frozenset
-    indecomposables: frozenset
-
-
-def extension_closure(S, A: Algebra, bound: int) -> ExtensionClosure:
-    """Closure of S ∪ {0} under extensions, as projective-free representatives
-    of total dimension at most `bound`, truncated there: an extension is
-    formed only when its two end terms have total dimension at most `bound`.
-    This is not Filt(S) in general.  On A_2^4 the sequence
-    0 -> Ind(2,3) -> Ind(2,1) + Ind(2,5) -> Ind(2,3) -> 0 puts Ind(2,1) in
-    Filt({Ind(2,3)}), but its end terms have dimension 6, so with bound 4
-    the only indecomposable in the closure of {Ind(2,3)} is Ind(2,3)."""
-    gens = sorted({s if isinstance(s, Ind) else Ind(*s) for s in S})
+@lru_cache(maxsize=None)
+def closure_inds(K: ModSum, A: Algebra) -> tuple[Ind, ...]:
+    """Indecomposables in the closure of K ∪ {0} under extensions of
+    projective-free objects, truncated at total dimension ell: an extension
+    is formed only when its end terms have total dimension at most ell.
+    This is not Filt(K) in general: on A_2^4, 0 -> Ind(2,3) -> Ind(2,1) +
+    Ind(2,5) -> Ind(2,3) -> 0 puts Ind(2,1) in Filt({Ind(2,3)}), but its end
+    terms have dimension 6 > 4, so the closure of (Ind(2,3),) is itself."""
+    gens = sorted(set(K))
     for s in gens:
         check_ind(s, A)
         if is_projective(s, A):
@@ -550,24 +528,13 @@ def extension_closure(S, A: Algebra, bound: int) -> ExtensionClosure:
     objects: set[ModSum] = {()}
     work: list[ModSum] = [()]
     while work:
-        Bobj = work.pop()
+        B = work.pop()
         for s in gens:
-            if sum_dim(Bobj) + s.length > bound:
+            if sum_dim(B) + s.length > A.ell:
                 continue
-            for E in _core_middle_terms(Bobj, (s,), A):
+            for E in _core_middle_terms(B, (s,), A):
                 Es = _strip_projectives(E, A)
-                if sum_dim(Es) <= bound and Es not in objects:
+                if Es not in objects:
                     objects.add(Es)
                     work.append(Es)
-    inds = frozenset(o[0] for o in objects if len(o) == 1)
-    return ExtensionClosure(frozenset(objects), inds)
-
-
-@lru_cache(maxsize=None)
-def closure_inds(K: ModSum, A: Algebra) -> tuple[Ind, ...]:
-    """Indecomposable members of `extension_closure(K, A, bound=A.ell)`: the
-    closure of K ∪ {0} under extensions, truncated at total dimension ell.
-    This is not Filt(K) in general: on A_2^4, Ind(2,1) lies in
-    Filt({Ind(2,3)}), but the closure of (Ind(2,3),) is just (Ind(2,3),)."""
-    cl = extension_closure(K, A, bound=A.ell)
-    return tuple(sorted(cl.indecomposables))
+    return tuple(sorted(o[0] for o in objects if len(o) == 1))

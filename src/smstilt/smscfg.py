@@ -322,7 +322,7 @@ def tilde(C: Configuration) -> Configuration:
     """Multiplicity collapse sms(A_e^{em}) -> sms(A_e^e)."""
     A = C.algebra
     e = A.e
-    if A.n != e or A.ell % e != 0:
+    if A.n != e:
         raise ValueError(f"tilde needs a configuration over A_e^{{em}}, got A_{A.n}^{A.ell}")
     return Configuration(Algebra(e, e), tuple(tilde_point(p, A) for p in C.points))
 

@@ -29,15 +29,11 @@ def _orbit_indices(v: int, A: Algebra) -> frozenset[int]:
     return frozenset(_bar(v + k * A.e, A.n) for k in range(A.n // A.e))
 
 
-def _tree_multiplicity(A: Algebra) -> int:
-    return max(A.ell // A.e, 1)
-
-
 def _sequence_data(T: TwoTerm):
     """Replay data for T: sign, orbit sequence, and summand -> index map."""
     A = T.algebra
     X, sign = complexes.phi_inv(T)
-    G = brauer.psi(X, sign, _tree_multiplicity(A))
+    G = brauer.psi(X, sign, A.ell // A.e)
     peel, star_tree = brauer.star_reduction(G, sign)
     vertex_of_label = {}
     for lab in star_tree.labels():
@@ -319,10 +315,14 @@ def _verify_embedding(A: Algebra) -> dict:
     return _report("embedding", not bad, details, bad)
 
 
+def _symmetric(A: Algebra) -> bool:
+    return A.n == A.e < A.ell  # A = A_e^{em} with m > 1, as e | ell
+
+
 def _verify_types(A: Algebra) -> dict:
-    e, m = A.e, A.ell // A.e if A.ell % A.e == 0 else 0
-    if A.n != e or m <= 1:
+    if not _symmetric(A):
         return _report("types", True, {"note": "types need the symmetric case with m > 1"}, [])
+    e, m = A.e, A.ell // A.e
     bad = []
     per_part = {"minus": [], "plus": []}
     for T in two_term_objects(A):
@@ -338,11 +338,9 @@ def _verify_types(A: Algebra) -> dict:
 
 
 def _verify_tilde(A: Algebra) -> dict:
-    e = A.e
-    m = A.ell // e if A.ell % e == 0 else 0
-    if A.n != e or m <= 1:
+    if not _symmetric(A):
         return _report("tilde", True, {"note": "collapse needs the symmetric case with m > 1"}, [])
-    B = Algebra(e, e)
+    B = Algebra(A.e, A.e)
     bad = []
     src = smscfg.enumerate_configurations(A)
     tgt = {C.points for C in smscfg.enumerate_configurations(B)}

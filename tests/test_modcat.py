@@ -8,8 +8,8 @@ import pytest
 
 from smstilt import gf, modcat
 from smstilt.modcat import (Algebra, Ind, ModMap, _core_middle_terms,
-                            _proj_cover_sum, cone_of_stable_map,
-                            extension_closure, hom_basis, hom_dim,
+                            _proj_cover_sum, closure_inds, cone_of_stable_map,
+                            hom_basis, hom_dim,
                             min_left_approx, min_right_approx, nu, omega,
                             omega_inv, proj_of_top, stable_hom_dim, tau)
 from smstilt.smscfg import enumerate_configurations, nu_orbits_points
@@ -483,18 +483,23 @@ def test_middle_terms_match_brute_force_oracle():
 def test_extension_closure():
     A33 = Algebra(3, 3)
     # all simples generate everything up to the bound
-    cl = extension_closure([Ind(i, 1) for i in (1, 2, 3)], A33, bound=3)
-    nonproj = {M for M in modcat.nonprojective_inds(A33)}
-    assert set(cl.indecomposables) == nonproj
+    simples = tuple(Ind(i, 1) for i in (1, 2, 3))
+    assert set(closure_inds(simples, A33)) == set(modcat.nonprojective_inds(A33))
     # a simple without self-extensions generates only itself
-    cl1 = extension_closure([Ind(1, 1)], A36, bound=6)
-    assert set(cl1.indecomposables) == {Ind(1, 1)}
+    assert closure_inds((Ind(1, 1),), A36) == (Ind(1, 1),)
     # a brick whose length is divisible by n has a self-extension tower
-    cl2 = extension_closure([Ind(2, 3)], A36, bound=6)
-    assert set(cl2.indecomposables) == {Ind(2, 3), Ind(2, 6)}
-    # idempotent: closing the closure adds nothing
-    cl3 = extension_closure(sorted(cl2.indecomposables), A36, bound=6)
-    assert cl3.objects == cl2.objects
+    cl2 = closure_inds((Ind(2, 3),), A36)
+    assert cl2 == (Ind(2, 3), Ind(2, 6))
+    # idempotent: closing the closure adds no indecomposable
+    assert closure_inds(cl2, A36) == cl2
+
+
+def test_closure_inds_truncates_at_ell():
+    # Ind(2,1) lies in Filt({Ind(2,3)}) on A_2^4, through a self-extension
+    # of Ind(2,3) whose end terms have total dimension 6 > ell = 4
+    A24, M = Algebra(2, 4), Ind(2, 3)
+    assert (Ind(2, 1), Ind(2, 5)) in _core_middle_terms((M,), (M,), A24)
+    assert closure_inds((M,), A24) == (M,)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +537,7 @@ def _pushout_middle_terms(B, C, A, p=2):
 
 
 def _closure_visits(A, most, monkeypatch):
-    """Every (B, (s,)) that `extension_closure` passes to `_core_middle_terms`
+    """Every (B, (s,)) that `closure_inds` passes to `_core_middle_terms`
     for the unions of at most `most` nu-orbits of every configuration of A."""
     subsets = set()
     for S in enumerate_configurations(A):
@@ -550,7 +555,7 @@ def _closure_visits(A, most, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(modcat, "_core_middle_terms", record)
         for K in sorted(subsets):
-            extension_closure(K, A, bound=A.ell)
+            closure_inds.__wrapped__(K, A)
     return visits
 
 

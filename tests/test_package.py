@@ -8,6 +8,7 @@ from pathlib import Path
 import smstilt
 
 SRC = Path(smstilt.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # module-level definitions that no code in src/ refers to, kept on purpose
 KEPT = {
@@ -80,3 +81,16 @@ def test_memo_caches_expose_cache_info_and_start_cold():
     assert report == {q: [True, True, 0] for q in names}
     # the attribute scan sees every memo cache, each empty
     assert set(names) <= set(scanned) and not any(scanned.values())
+
+
+def test_bench_records_parse_with_required_fields():
+    # each committed benchmark record names itself, its machine and the
+    # line count of src/smstilt/*.py before and after its change
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        rec = json.loads(path.read_text())
+        assert rec["label"] == path.stem.removeprefix("BENCH_"), path.name
+        assert type(rec["machine"]["nproc"]) is int, path.name
+        lines = rec["src_smstilt_py_lines"]
+        assert type(lines["parent"]) is int and type(lines["change"]) is int, path.name
