@@ -587,56 +587,37 @@ def _summand_complex(s: Summand, A: Algebra) -> ProjComplex:
 
 
 @_rotation_keyed
-def _summand_homset(a: Summand, b: Summand, A: Algebra) -> HomSet:
-    """Hom_K between two single-summand complexes, built in the frame that
-    anchors a; its coordinates and maps are positional, so they serve every
-    rotation of (a, b).  Callers must not mutate it."""
+def _summand_hom(a: Summand, b: Summand, A: Algebra) -> tuple[HomSet, np.ndarray]:
+    """Hom_K between two single-summand complexes, and coordinate rows in it,
+    reduced modulo the boundaries, of chain maps spanning the non-isomorphisms
+    a -> b.  Both are built in the frame that anchors a; they are positional,
+    so they serve every rotation of (a, b).  Callers must not mutate them.
+
+    For a == b the radical of the local ring End(a) is read off constant
+    terms.  Every differential lies in the radical, so a homotopy changes no
+    constant term, and an endomorphism of a one-summand complex is a unit
+    exactly when one of its components has a nonzero constant term.  The
+    first unit basis element is dropped and added to every other unit."""
     HS = HomSet(_summand_complex(a, A), _summand_complex(b, A))
+    basis = HS.basis()
+    if a == b:
+        const = [col for col, (_, s) in enumerate(HS.unknowns) if s == 0]
+        units = [int(z[const].any()) for z in basis]
+        if 1 not in units:
+            raise RuntimeError(f"no unit in the endomorphism ring of {a}")
+        t0 = units.index(1)
+        basis = [(z + u * basis[t0]) % 2 for t, (z, u) in enumerate(zip(basis, units)) if t != t0]
+    rows = np.array([HS.reduce(z) for z in basis], dtype=np.int64)
     for M in (HS.cycles, HS.boundaries, HS._br):
         _frozen(M)
-    return HS
-
-
-def _is_nilpotent(z: np.ndarray, HS: HomSet, A: Algebra) -> bool:
-    f = HS.to_map(z)
-    acc = f
-    for _ in range(len(HS.unknowns) + 1):
-        acc = compose_maps(acc, f, A)
-        if not HS.reduce(HS.from_map(acc)).any():
-            return True
-    return False
-
-
-@_rotation_keyed
-def _summand_radical(a: Summand, b: Summand, A: Algebra) -> tuple[dict, ...]:
-    """Chain maps spanning the non-isomorphisms a -> b modulo homotopy."""
-    HS = _summand_homset(a, b, A)
-    basis = HS.basis()
-    if a != b:
-        return tuple(HS.to_map(z) for z in basis)
-    # radical of the local ring End(a) = its nilpotent classes
-    chis = [0 if _is_nilpotent(z, HS, A) else 1 for z in basis]
-    t0 = next((t for t, chi in enumerate(chis) if chi), None)
-    if t0 is None:
-        raise RuntimeError(f"no unit in the endomorphism ring of {a}")
-    return tuple(HS.to_map((z + chis[t] * basis[t0]) % 2)
-                 for t, z in enumerate(basis) if t != t0)
-
-
-@lru_cache(maxsize=None)
-def _radical_coords(a: Summand, b: Summand, A: Algebra) -> np.ndarray:
-    """Coordinates in Hom_K(a, b) of `_summand_radical(a, b)`, one row per
-    map, reduced modulo the boundaries; callers must not mutate it."""
-    HS = _summand_homset(a, b, A)
-    rows = [HS.reduce(HS.from_map(f)) for f in _summand_radical(a, b, A)]
-    return _frozen(np.array(rows, dtype=np.int64).reshape(len(rows), len(HS.unknowns)))
+    return HS, _frozen(rows.reshape(len(basis), len(HS.unknowns)))
 
 
 def _irreducible_maps(a: Summand, b: Summand, mids, A: Algebra) -> tuple[int, ...]:
-    """Indices into `_summand_radical(a, b)` of maps whose classes form a basis
-    of rad(a, b) modulo homotopy and the composites rad(c, b) . rad(a, c)
-    over c in mids."""
-    rad = _radical_coords(a, b, A)
+    """Indices into the radical rows of `_summand_hom(a, b)` of maps whose
+    classes form a basis of rad(a, b) modulo homotopy and the composites
+    rad(c, b) . rad(a, c) over c in mids."""
+    rad = _summand_hom(a, b, A)[1]
     if not len(rad):
         return ()
     ideal = [M for c in mids if len(M := _through(a, c, b, A))]
@@ -650,10 +631,12 @@ def _irreducible_maps(a: Summand, b: Summand, mids, A: Algebra) -> tuple[int, ..
 def _through(a: Summand, c: Summand, b: Summand, A: Algebra) -> np.ndarray:
     """Coordinates in Hom_K(a, b) of the composites rad(c, b) . rad(a, c) that
     are not null-homotopic, reduced modulo the boundaries; callers must not
-    mutate it."""
-    HS = _summand_homset(a, b, A)
-    through = [v for f in _summand_radical(a, c, A) for g in _summand_radical(c, b, A)
-               if (v := HS.reduce(HS.from_map(compose_maps(g, f, A)))).any()]
+    mutate it.  Hom_K(c, b) is only built when rad(a, c) is nonzero."""
+    HS = _summand_hom(a, b, A)[0]
+    F, fs = _summand_hom(a, c, A)
+    G, gs = _summand_hom(c, b, A) if len(fs) else (None, ())
+    through = [v for f in fs for g in gs
+               if (v := HS.reduce(HS.from_map(compose_maps(G.to_map(g), F.to_map(f), A)))).any()]
     return _frozen(np.array(through, dtype=np.int64).reshape(len(through), len(HS.unknowns)))
 
 
@@ -662,8 +645,8 @@ def _min_approx(s: Summand, rest: tuple, A: Algebra, left: bool) -> tuple:
     """Minimal left (or right) add(rest)-approximation of the summand s in the
     homotopy category, for rest a tuple of distinct summands in `sort_key`
     order, as a hashable key: a pair (m, indices) for each target (source) m
-    that takes part, where the indices pick the components from
-    `_summand_radical(s, m)` (or `_summand_radical(m, s)`).
+    that takes part, where the indices pick the components from the radical
+    rows of `_summand_hom(s, m)` (or `_summand_hom(m, s)`).
 
     The components into (out of) m are a basis of Hom_K(s, m) modulo the
     composites through rad(add rest), so no summand can be dropped.
@@ -679,11 +662,14 @@ def _min_approx(s: Summand, rest: tuple, A: Algebra, left: bool) -> tuple:
 def _mutate_summand(s: Summand, key: tuple, sign: str, A: Algebra) -> Summand | None:
     """The summand that replaces s in the mutation whose minimal approximation
     of s is `key` (see `_min_approx`): the cone of the approximation, or None
-    when it leaves the two-term window.  A cone that is not one summand
-    raises SplitCone with its summands."""
+    when it leaves the two-term window.  The components are the radical rows
+    of `_summand_hom` that the key picks, as chain maps.  A cone that is not
+    one summand raises SplitCone with its summands."""
     left = sign == "minus"
-    items = [(m, _summand_radical(*((s, m) if left else (m, s)), A)[k])
-             for m, keep in key for k in keep]
+    items = []
+    for m, keep in key:
+        HS, rad = _summand_hom(*((s, m) if left else (m, s)), A)
+        items += [(m, HS.to_map(rad[k])) for k in keep]
     Mc, offs = direct_sum(A, [_summand_complex(m, A) for m, _ in items])
     gmap: dict[tuple[int, int], np.ndarray] = {}
     for (_, f), off in zip(items, offs):

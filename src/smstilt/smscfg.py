@@ -58,20 +58,15 @@ def all_points(A: Algebra) -> list[Point]:
 
 @lru_cache(maxsize=None)
 def _stable_table(A: Algebra, p: int = 2):
+    """(idx, table, brick, out, into): the row of each point of all_points(A),
+    the stable Hom dimensions between them, and per point a its brick flag
+    and two masks, bit k for all_points(A)[k]: `out`, the b with stable
+    Hom(a, b) != 0, and `into`, the v with stable Hom(v, a) != 0 (a covers v)."""
     pts = all_points(A)
     idx = {q: k for k, q in enumerate(pts)}
     table = [[modcat.stable_hom_dim(ind_of(a), ind_of(b), A, p) for b in pts] for a in pts]
-    return idx, table
-
-
-@lru_cache(maxsize=None)
-def _mask_table(A: Algebra, p: int = 2):
-    """`_stable_table` as bitmasks, bit k standing for all_points(A)[k]: per
-    point a, its brick flag, `out` = the b with stable Hom(a, b) != 0, and
-    `into` = the v with stable Hom(v, a) != 0, the vertices that a covers."""
-    idx, table = _stable_table(A, p)
-    rng = range(len(table))
-    return (idx, [table[a][a] == 1 for a in rng],
+    rng = range(len(pts))
+    return (idx, table, [table[a][a] == 1 for a in rng],
             [sum(1 << b for b in rng if table[a][b]) for a in rng],
             [sum(1 << v for v in rng if table[v][a]) for a in rng])
 
@@ -80,7 +75,7 @@ def is_configuration(C, A: Algebra, p: int = 2) -> bool:
     """Pairwise stable orthogonality, as out[a] & P == bit(a) for each brick
     a in P, plus coverage: the `into` masks of P cover every vertex."""
     pts = C.points if isinstance(C, Configuration) else Configuration(A, tuple(C)).points
-    idx, brick, out, into = _mask_table(A, p)
+    idx, _, brick, out, into = _stable_table(A, p)
     ks = [idx[q] for q in pts]
     P = sum(1 << k for k in ks)
     if not all(brick[k] and out[k] & P == 1 << k for k in ks):
@@ -90,7 +85,7 @@ def is_configuration(C, A: Algebra, p: int = 2) -> bool:
 
 @lru_cache(maxsize=None)
 def enumerate_configurations(A: Algebra) -> tuple[Configuration, ...]:
-    """All configurations, by backtracking on the masks of `_mask_table`.
+    """All configurations, by backtracking on the masks of `_stable_table`.
 
     Candidates are the bricks, by (length, socle) as in all_points.  A
     branch adds only candidates whose `out` and `into` masks miss the chosen
@@ -98,7 +93,7 @@ def enumerate_configurations(A: Algebra) -> tuple[Configuration, ...]:
     the chosen and available points together cannot.
     """
     pts = all_points(A)
-    _, brick, out, into = _mask_table(A, 2)
+    _, _, brick, out, into = _stable_table(A, 2)
     full = (1 << len(pts)) - 1
     cands = [k for k in range(len(pts)) if brick[k]]
     clash = [out[k] | into[k] for k in cands]
@@ -174,21 +169,22 @@ def _sms_mutate_cached(C: Configuration, Kset: frozenset, sign: str):
         raise ValueError("mutation subset is not contained in the configuration")
     if {nu_point(q, A) for q in Kset} != Kset:
         raise ValueError("mutation subset is not Nakayama-stable")
-    mapping = {pt: _mutate_point(pt, Kset, sign, A) for pt in C.points}
+    frames = _frames(Kset, A)
+    mapping = {pt: _mutate_point(pt, frames, sign, A) for pt in C.points}
     result = Configuration(A, tuple(mapping.values()))
     if not is_configuration(result, A):
         raise RuntimeError("mutation produced an invalid configuration")
     return result, tuple(mapping.items())
 
 
-def _mutate_point(pt: Point, Kset: frozenset, sign: str, A: Algebra) -> Point:
-    """The image of one point under mutation at Kset; it depends on nothing
-    else in the configuration.  Mutation commutes with the rotation sigma, so
-    it is memoised per rotation class: computed on sigma^k of (pt, Kset) for
-    the k that puts (sorted sigma^k Kset, sigma^k pt) first, rotated back.
-    The frames that put sorted sigma^k Kset first come from `_frames`, once
-    per Kset; pt only breaks the tie between them."""
-    Kc, ks = _frames(Kset, A)
+def _mutate_point(pt: Point, frames: tuple, sign: str, A: Algebra) -> Point:
+    """The image of one point under mutation at a set K, given by its
+    `frames = _frames(K, A)`; it depends on nothing else in the configuration.
+    Mutation commutes with the rotation sigma, so it is memoised per rotation
+    class: computed on sigma^k of (pt, K) for the k that puts (sorted
+    sigma^k K, sigma^k pt) first, rotated back.  Of the frames that put
+    sorted sigma^k K first, pt only breaks the tie."""
+    Kc, ks = frames
     k = min(ks, key=lambda k: _rotate(pt, k, A))
     try:
         new = _mutate_point_in_frame(_rotate(pt, k, A), Kc, sign, A)
@@ -199,7 +195,6 @@ def _mutate_point(pt: Point, Kset: frozenset, sign: str, A: Algebra) -> Point:
     return _rotate(new, -k, A)
 
 
-@lru_cache(maxsize=None)
 def _frames(Kset: frozenset, A: Algebra) -> tuple[frozenset, tuple[int, ...]]:
     """The canonical rotation sigma^k Kset, the one that sorts first, and
     every k in range(n) that gives it."""

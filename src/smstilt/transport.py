@@ -378,7 +378,7 @@ def _verify_functors(A: Algebra) -> dict:
     # smscfg's tables hold the stable Homs between the points of nonproj, in
     # order.  A functor image outside them that passes check_ind is projective
     # and has no stable Hom: it gets the zero row and column appended here.
-    idx, hom = smscfg._stable_table(A, 2)
+    idx, hom = smscfg._stable_table(A, 2)[:2]
     hom3 = smscfg._stable_table(A, 3)[1]
     hom = [row + [0] for row in hom] + [[0] * (len(hom) + 1)]
 

@@ -240,7 +240,7 @@ def test_point_mutation_failures_are_not_cached():
     # no exceptions, so the second call fails the same way
     for _ in range(2):
         with pytest.raises(RuntimeError, match="cocone of \\(1, 6\\) is not indecomposable"):
-            smscfg._mutate_point((1, 6), frozenset({(1, 1)}), "plus", A36)
+            smscfg._mutate_point((1, 6), smscfg._frames(frozenset({(1, 1)}), A36), "plus", A36)
 
 
 def _rotate(q, k, A):
@@ -258,7 +258,8 @@ def test_point_mutation_is_rotation_equivariant(n, ell):
         for k in range(n):
             ptk, Kk = _rotate(pt, k, A), frozenset(_rotate(q, k, A) for q in K)
             want = smscfg._mutate_point_in_frame.__wrapped__(ptk, Kk, sign, A)
-            assert smscfg._mutate_point(ptk, Kk, sign, A) == want, (n, ell, pt, K, sign, k)
+            frames = smscfg._frames(Kk, A)
+            assert smscfg._mutate_point(ptk, frames, sign, A) == want, (n, ell, pt, K, sign, k)
 
 
 def test_point_mutation_failures_name_the_callers_point():
@@ -266,7 +267,7 @@ def test_point_mutation_failures_name_the_callers_point():
     # failure is computed in that frame but reported in the caller's
     for _ in range(2):
         with pytest.raises(RuntimeError, match="cocone of \\(2, 6\\) is not indecomposable"):
-            smscfg._mutate_point((2, 6), frozenset({(2, 1)}), "plus", A36)
+            smscfg._mutate_point((2, 6), smscfg._frames(frozenset({(2, 1)}), A36), "plus", A36)
 
 
 def test_omega_insert_examples():

@@ -224,12 +224,9 @@ def reference_functor_pairs(A):
 @pytest.fixture
 def fresh_stable_tables():
     # the tables are built under the injected fault, and must not outlive it
-    caches = (smscfg._stable_table, smscfg._mask_table)
-    for cache in caches:
-        cache.cache_clear()
+    smscfg._stable_table.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    smscfg._stable_table.cache_clear()
 
 
 def _fault_at(real, target, wrong):
