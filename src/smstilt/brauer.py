@@ -16,10 +16,6 @@ from .disc import Triangulation
 from .modcat import _bar, _json_int_seq, _json_ints, _json_list
 
 
-def _label_key(label):
-    return str(label)
-
-
 @dataclass(frozen=True)
 class BrauerTree:
     vertices: tuple[int, ...]
@@ -32,16 +28,18 @@ class BrauerTree:
 
     def __post_init__(self):
         edges = tuple(sorted(((lab, tuple(uv)) for lab, uv in self.edges),
-                             key=lambda t: _label_key(t[0])))
+                             key=lambda t: str(t[0])))
         cyclic = tuple(sorted(((v, tuple(labels)) for v, labels in self.cyclic)))
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "cyclic", cyclic)
         object.__setattr__(self, "_ends", {lab: uv for lab, uv in edges})
         object.__setattr__(self, "_cyc", {v: list(labels) for v, labels in cyclic})
-        self._validate()
 
-    def _validate(self):
+    def _validate(self) -> "BrauerTree":
+        """Check the tree data and return the tree.  The constructor does not
+        check: trees are validated where they enter, in tree_from_json, psi
+        and star, and a Kauer move of a valid tree is a valid tree."""
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
         if self.exceptional not in self.vertices:
@@ -70,6 +68,7 @@ class BrauerTree:
                         stack.append(x)
             if len(seen) != len(self.vertices):
                 raise ValueError("tree is not connected")
+        return self
 
     # -- accessors ---------------------------------------------------------
 
@@ -127,14 +126,14 @@ def tree_from_json(obj) -> BrauerTree:
             raise ValueError(f"cyclic.{v}: expected a list")
         cyclic.append((int(v), tuple(_json_label(lab, f"cyclic.{v}[{k}]")
                                      for k, lab in enumerate(labels))))
-    return BrauerTree(vertices, tuple(edges), tuple(cyclic), exceptional, m)
+    return BrauerTree(vertices, tuple(edges), tuple(cyclic), exceptional, m)._validate()
 
 
 def star(e: int, m: int = 1) -> BrauerTree:
     """Brauer star: edges i = (0, i) around the exceptional centre 0."""
     edges = tuple((i, (0, i)) for i in range(1, e + 1))
     cyclic = ((0, tuple(range(1, e + 1))),) + tuple((i, (i,)) for i in range(1, e + 1))
-    return BrauerTree(tuple(range(e + 1)), edges, cyclic, 0, m)
+    return BrauerTree(tuple(range(e + 1)), edges, cyclic, 0, m)._validate()
 
 
 def psi(X: Triangulation, sign: str, m: int = 1) -> BrauerTree:
@@ -167,7 +166,19 @@ def psi(X: Triangulation, sign: str, m: int = 1) -> BrauerTree:
         else:
             order = sorted(incident[v], key=lambda t: v if t[1] == 0 else t[1])
         cyclic.append((v, tuple(lab for lab, _ in order)))
-    return BrauerTree(tuple(range(e + 1)), tuple(edges), tuple(cyclic), 0, m)
+    return BrauerTree(tuple(range(e + 1)), tuple(edges), tuple(cyclic), 0, m)._validate()
+
+
+def _moves(G: BrauerTree, label, sign: str) -> list[tuple]:
+    """Where the two ends of label go in its Kauer move: (new end, edge slid
+    over) per end, with None for an end at an extremal vertex, which stays."""
+    step = -1 if sign == "minus" else 1
+    moves = []
+    for w in G.ends(label):
+        order = G._cyc[w]
+        ref = order[(order.index(label) + step) % len(order)] if len(order) > 1 else None
+        moves.append((w if ref is None else G.far(ref, w), ref))
+    return moves
 
 
 def kauer_mutate(G: BrauerTree, label, sign: str) -> BrauerTree:
@@ -180,24 +191,14 @@ def kauer_mutate(G: BrauerTree, label, sign: str) -> BrauerTree:
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be minus or plus, got {sign!r}")
     u, v = G.ends(label)
-    cyc = {w: list(labels) for w, labels in G.cyclic}
-
-    moves = []
-    for w in (u, v):
-        order = cyc[w]
-        if len(order) == 1:
-            moves.append((w, None))
-            continue
-        pos = order.index(label)
-        ref = order[pos - 1] if sign == "minus" else order[(pos + 1) % len(order)]
-        moves.append((G.far(ref, w), ref))
-
-    cyc[u].remove(label)
-    cyc[v].remove(label)
-    (nu_, ref_u), (nv_, ref_v) = moves
+    moves = _moves(G, label, sign)
+    (nu_, _), (nv_, _) = moves
     if nu_ == nv_:
         raise RuntimeError("mutation would create a loop")
-    for w, ref in ((nu_, ref_u), (nv_, ref_v)):
+    cyc = {w: list(labels) for w, labels in G.cyclic}
+    cyc[u].remove(label)
+    cyc[v].remove(label)
+    for w, ref in moves:
         if ref is None:
             cyc[w].append(label)
         else:
@@ -247,31 +248,31 @@ def _peel_sign(sign: str) -> str:
     return "plus" if sign == "minus" else "minus"
 
 
-def star_reduction(G: BrauerTree, sign: str = "minus") -> tuple[list, BrauerTree]:
-    """Peel G down to the Brauer star.
+def peel_step(G: BrauerTree, sign: str = "minus"):
+    """The label of star reduction's next step on G, or None at the star:
+    the smallest label whose Kauer move (right move for sign "minus", left
+    move for "plus") slides an end onto the exceptional vertex.  The moved
+    ends are read without building the moved trees."""
+    exc = G.exceptional
+    for lab in G.labels():
+        if exc not in G.ends(lab) and any(w == exc for w, _ in _moves(G, lab, _peel_sign(sign))):
+            return lab
+    if G.valency(exc) < len(G.edges):
+        raise RuntimeError("star reduction is stuck; not a valid Brauer tree?")
+    return None
 
-    Each step mutates (right move for sign "minus", left move for "plus")
-    at the smallest-labelled edge that gains the exceptional vertex as an
-    endpoint, raising the exceptional valency by one.  Returns the peel
-    order and the resulting star; replaying the reversed sequence with
-    mutations of the given sign from the star rebuilds G.
+
+def star_reduction(G: BrauerTree, sign: str = "minus") -> tuple[list, BrauerTree]:
+    """Peel G down to the Brauer star, one `peel_step` at a time.
+
+    Returns the peel order and the resulting star; replaying the reversed
+    sequence with mutations of the given sign from the star rebuilds G.
     """
     peel: list = []
     H = G
-    exc = G.exceptional
-    while H.valency(exc) < len(H.edges):
-        step = None
-        for lab in sorted(H.labels(), key=_label_key):
-            if exc in H.ends(lab):
-                continue
-            K = kauer_mutate(H, lab, _peel_sign(sign))
-            if K.valency(exc) == H.valency(exc) + 1:
-                step = (lab, K)
-                break
-        if step is None:
-            raise RuntimeError("star reduction is stuck; not a valid Brauer tree?")
-        peel.append(step[0])
-        H = step[1]
+    while (lab := peel_step(H, sign)) is not None:
+        peel.append(lab)
+        H = kauer_mutate(H, lab, _peel_sign(sign))
     return peel, H
 
 

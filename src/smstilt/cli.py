@@ -189,6 +189,8 @@ def cmd_fmap(args) -> int:
     T = complexes.twoterm_from_json(_read_json(args.infile))
     if T.algebra != A:
         raise ValueError("complex algebra does not match --n/--ell")
+    if not complexes.is_tilting(T):
+        raise ValueError(transport._NOT_TILTING)
     C = transport.fmap(T)
     _emit(args, C.to_json(), " ".join(f"({x},{y})" for x, y in C.points))
     return 0

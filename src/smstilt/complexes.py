@@ -691,21 +691,29 @@ def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
     """Mutate at a minimal Nakayama-stable summand set.
 
     Returns (mutated complex, {orbit summand: replacement}) or (None, None)
-    when the mutation leaves the two-term window.  Mutation commutes with
-    the rotation sigma, so each s in the orbit is mutated, and memoised, in
-    the frame sigma^k that puts sigma^k s at vertex 1 (`_anchor`).  Since
-    `sort_key` compares vertices after kind and degree, that k alone puts
-    (sigma^k s, sorted sigma^k rest) first.
+    when the mutation leaves the two-term window.  Checks the sign and the
+    orbit, then runs `_mutate_tracked`.
     """
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be minus or plus, got {sign!r}")
-    A = T.algebra
     orbit = frozenset(orbit)
     if not orbit or not orbit <= set(T.summands):
         raise ValueError("orbit is not a set of summands of the complex")
-    if len(_orbits(orbit, lambda s: nu_summand(s, A), "orbit is not Nakayama-stable")) != 1:
+    if len(_orbits(orbit, lambda s: nu_summand(s, T.algebra), "orbit is not Nakayama-stable")) != 1:
         raise ValueError("orbit is not minimal Nakayama-stable")
+    return _mutate_tracked(T, orbit, sign)
 
+
+def _mutate_tracked(T: TwoTerm, orbit: frozenset, sign: str):
+    """`two_term_mutate_tracked` without its checks, for an orbit that
+    `nu_orbits(T)` returned.
+
+    Mutation commutes with the rotation sigma, so each s in the orbit is
+    mutated, and memoised, in the frame sigma^k that puts sigma^k s at
+    vertex 1 (`_anchor`).  Since `sort_key` compares vertices after kind
+    and degree, that k alone puts (sigma^k s, sorted sigma^k rest) first.
+    """
+    A = T.algebra
     rest = [s for s in T.summands if s not in orbit]
     replaced: dict[Summand, Summand] = {}
     for s in sorted(orbit, key=lambda x: x.sort_key()):

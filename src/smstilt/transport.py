@@ -1,13 +1,15 @@
 """The tilting-to-sms map computed by mutation transport, exchange
 quivers on both sides, and the machine-checked verification suites.
 
-A two-term tilting complex is reached from the stalk complex by a
-canonical sequence of mutations read off its Brauer tree; replaying the
-same sequence on the simple configuration transports the identity
-correspondence to the complex in question.  The suites check counts,
-bijectivity/surjectivity, mutation compatibility, the exchange-quiver
-embedding, type partitions, multiplicity collapse and the module-level
-functor identities.
+A two-term tilting complex is reached from the stalk complex (minus part)
+or its shift (plus part) by a canonical sequence of mutations, read off
+its Brauer tree by star reduction.  These sequences form a tree: undoing
+T's last step reaches a parent whose sequence is T's without it.  `fmap`
+walks that tree, one complex-side and one sms mutation per complex; the
+full replay stays behind `canonical_sequence`, as the tests' reference.
+The suites check counts, bijectivity/surjectivity, mutation
+compatibility, the exchange-quiver embedding, type partitions,
+multiplicity collapse and the module-level functor identities.
 """
 
 from __future__ import annotations
@@ -29,30 +31,12 @@ def _orbit_indices(v: int, A: Algebra) -> frozenset[int]:
     return frozenset(_bar(v + k * A.e, A.n) for k in range(A.n // A.e))
 
 
-def _sequence_data(T: TwoTerm):
-    """Replay data for T: sign, orbit sequence, and summand -> index map."""
-    A = T.algebra
-    X, sign = complexes.phi_inv(T)
-    G = brauer.psi(X, sign, A.ell // A.e)
-    peel, star_tree = brauer.star_reduction(G, sign)
-    vertex_of_label = {}
-    for lab in star_tree.labels():
-        u, v = star_tree.ends(lab)
-        vertex_of_label[lab] = v if u == star_tree.exceptional else u
-    seq = [_orbit_indices(vertex_of_label[lab], A) for lab in reversed(peel)]
-
-    _, assignment = complexes.phi_with_labels(X, sign, A)
-    index_of_summand = {}
-    for arc_n, s in assignment.items():
-        if arc_n.kind == "projective":
-            base, e_pos = arc_n.terminal, _bar(arc_n.terminal, A.e)
-            folded = disc.projective_arc(e_pos)
-        else:
-            base, e_pos = arc_n.initial, _bar(arc_n.initial, A.e)
-            folded = disc.inner_arc(e_pos, arc_n.length, A.e)
-        shift = base - e_pos
-        index_of_summand[s] = _bar(vertex_of_label[str(folded)] + shift, A.n)
-    return sign, seq, index_of_summand
+def _folded_label(arc: disc.Arc, e: int) -> str:
+    """The label of the edge of psi's rank-e tree that an arc of phi's
+    unfolded triangulation folds onto."""
+    if arc.kind == "projective":
+        return str(disc.projective_arc(_bar(arc.terminal, e)))
+    return str(disc.inner_arc(_bar(arc.initial, e), arc.length, e))
 
 
 def canonical_sequence(T: TwoTerm) -> list[frozenset[int]]:
@@ -60,7 +44,10 @@ def canonical_sequence(T: TwoTerm) -> list[frozenset[int]]:
     mutation replay from the stalk complex reaches T."""
     if not complexes.is_tilting(T):
         raise ValueError("canonical sequences are defined for tilting complexes")
-    return _sequence_data(T)[1]
+    A = T.algebra
+    X, sign = complexes.phi_inv(T)
+    peel, star_tree = brauer.star_reduction(brauer.psi(X, sign, A.ell // A.e), sign)
+    return [_orbit_indices(star_tree.far(lab, star_tree.exceptional), A) for lab in reversed(peel)]
 
 
 def _anchor(sign: str, A: Algebra):
@@ -72,11 +59,47 @@ def _anchor(sign: str, A: Algebra):
     return C0, pairing
 
 
-def fmap_tracked(T: TwoTerm):
-    """Transport the simple configuration along the canonical sequence.
+_NOT_TILTING = "fmap is defined on two-term tilting complexes"
 
-    Returns (configuration, correspondence summand -> point).  Results are
-    memoised per process; the correspondence is a fresh dict.
+
+def _parent(T: TwoTerm):
+    """(sign, R, replaced): T's parent R in the canonical-sequence tree and
+    the map from T's last orbit to the summands of R that replace it, or
+    (sign, None, None) at an anchor.  The first star-reduction step on
+    psi(phi_inv(T)) moves the edge of T's last step; R is T mutated, with
+    the opposite sign, at the summands that phi puts on that edge.
+
+    T must be phi(X, sign) for a triangulation X.  The two-term tilting
+    complexes are exactly these (the paper's bijection), so this check
+    stands in for `is_tilting`, which the CLI runs on complexes from JSON.
+    """
+    A = T.algebra
+    try:
+        X, sign = complexes.phi_inv(T)
+        U, assignment = complexes.phi_with_labels(X, sign, A)
+    except (ValueError, disc.FoldSymmetryError):
+        U = None
+    if U != T or not disc.is_triangulation(X.arcs, X.e):
+        raise ValueError(_NOT_TILTING)
+    label = brauer.peel_step(brauer.psi(X, sign, A.ell // A.e), sign)
+    if label is None:
+        return sign, None, None
+    orbit = {s for arc, s in assignment.items() if _folded_label(arc, A.e) == label}
+    R, replaced = complexes.two_term_mutate_tracked(T, orbit, brauer._peel_sign(sign))
+    if R is None:
+        raise RuntimeError("the canonical parent left the two-term class")
+    return sign, R, replaced
+
+
+def fmap_tracked(T: TwoTerm):
+    """The configuration of T and its correspondence summand -> point.
+
+    The anchors map to the simples (minus part) and their cosyzygies (plus
+    part); any other T to the mutation, with T's sign, of its parent's
+    image (`_parent`) at the points of the summands that replace T's last
+    orbit, each summand following its replacement.  Images are memoised
+    per process; the correspondence is a fresh dict.  Raises ValueError
+    unless T = phi(X, sign) for a triangulation X.
     """
     C, corr = _fmap_cached(T)
     return C, dict(corr)
@@ -84,16 +107,14 @@ def fmap_tracked(T: TwoTerm):
 
 @lru_cache(maxsize=None)
 def _fmap_cached(T: TwoTerm):
-    if not complexes.is_tilting(T):
-        raise ValueError("fmap is defined on two-term tilting complexes")
-    A = T.algebra
-    sign, seq, index_of_summand = _sequence_data(T)
-    C, pairing = _anchor(sign, A)
-    for orbit in seq:
-        K = {pairing[i] for i in orbit}
-        C, rep = smscfg.sms_mutate_tracked(C, K, sign)
-        pairing = {i: rep[pt] for i, pt in pairing.items()}
-    return C, tuple((s, pairing[index_of_summand[s]]) for s in T.summands)
+    sign, R, replaced = _parent(T)
+    if R is None:
+        C, pairing = _anchor(sign, T.algebra)
+        return C, tuple((s, pairing[s.idx]) for s in T.summands)
+    C, corr = _fmap_cached(R)
+    corr = dict(corr)
+    C, rep = smscfg.sms_mutate_tracked(C, {corr[r] for r in replaced.values()}, sign)
+    return C, tuple((s, rep[corr[replaced.get(s, s)]]) for s in T.summands)
 
 
 def fmap(T: TwoTerm) -> Configuration:
@@ -125,7 +146,7 @@ def exchange_quiver(kind: str, A: Algebra) -> ExchangeQuiver:
         arrows = []
         for i, T in enumerate(objs):
             for orbit in complexes.nu_orbits(T):
-                R = complexes.two_term_mutate(T, orbit, "minus")
+                R = complexes._mutate_tracked(T, orbit, "minus")[0]
                 if R is None:
                     continue
                 if R not in index:
@@ -189,7 +210,7 @@ def bfs_sequence(T: TwoTerm) -> list[frozenset]:
     while queue:
         U = queue.popleft()
         for orbit in complexes.nu_orbits(U):
-            R = complexes.two_term_mutate(U, orbit, sign)
+            R = complexes._mutate_tracked(U, orbit, sign)[0]
             if R is None or R in seen:
                 continue
             seen[R] = (U, orbit)

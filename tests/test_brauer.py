@@ -1,8 +1,8 @@
 import pytest
 
 from smstilt import brauer, complexes, disc
-from smstilt.brauer import (BrauerTree, brauer_iso, kauer_mutate, psi,
-                            star, star_mutation_sequence, star_reduction,
+from smstilt.brauer import (BrauerTree, brauer_iso, kauer_mutate, peel_step,
+                            psi, star, star_mutation_sequence, star_reduction,
                             tree_from_json)
 from smstilt.modcat import Algebra
 
@@ -70,6 +70,42 @@ def test_kauer_involution_everywhere():
             for lab in G.labels():
                 assert brauer_iso(kauer_mutate(kauer_mutate(G, lab, "minus"), lab, "plus"), G)
                 assert brauer_iso(kauer_mutate(kauer_mutate(G, lab, "plus"), lab, "minus"), G)
+
+
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (4, 8), (6, 9)])
+def test_kauer_moves_keep_trees_valid(n, ell):
+    # kauer_mutate builds its trees unchecked, because a move of a valid tree
+    # is valid: every move, at every label and with both signs, of every psi
+    # tree of A_n^ell passes the check that the JSON reader and psi run
+    A = Algebra(n, ell)
+    for X in disc.enumerate_triangulations(A.e):
+        for tree_sign in ("minus", "plus"):
+            G = psi(X, tree_sign, A.ell // A.e)
+            for lab in G.labels():
+                for sign in ("minus", "plus"):
+                    H = kauer_mutate(G, lab, sign)
+                    assert H._validate() is H
+
+
+def _peel_step_reference(G, sign):
+    """Star reduction's step built the long way: the first label, in label
+    order, whose moved tree has one more edge at the exceptional vertex."""
+    exc = G.exceptional
+    for lab in sorted(G.labels(), key=str):
+        if exc in G.ends(lab):
+            continue
+        H = kauer_mutate(G, lab, "plus" if sign == "minus" else "minus")
+        if H.valency(exc) == G.valency(exc) + 1:
+            return lab
+    return None
+
+
+def test_peel_step_matches_built_moves():
+    for e in range(1, 6):
+        for X in disc.enumerate_triangulations(e):
+            for sign in ("minus", "plus"):
+                G = psi(X, sign, 2)
+                assert peel_step(G, sign) == _peel_step_reference(G, sign)
 
 
 def test_psi_flip_kauer_compatibility():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from smstilt import transport
 from smstilt.cli import main
 
 
@@ -118,6 +119,19 @@ def test_phi_fmap_pipeline(capsys, tmp_path):
     code, _, err = run(capsys, "phi", "--n", "4", "--ell", "6", "--sign", "minus",
                        "--in", str(path))
     assert code == 2
+
+
+def test_fmap_refuses_non_tilting_json(capsys, tmp_path, monkeypatch):
+    # three summands of one sign, not tilting: the loop <1,1> crosses <*,2>.
+    # The CLI runs is_tilting on complexes read from JSON, before fmap's own
+    # combinatorial domain check
+    monkeypatch.setattr(transport, "fmap", lambda T: pytest.fail("fmap reached"))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"n": 3, "ell": 6, "summands": [
+        {"stalk": 1, "deg": 0}, {"stalk": 2, "deg": 0}, {"src": 3, "tgt": 1}]}))
+    code, out, err = run(capsys, "fmap", "--n", "3", "--ell", "6", "--in", str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err == "smstilt: fmap is defined on two-term tilting complexes\n"
 
 
 def test_sms_verbs(capsys, tmp_path):

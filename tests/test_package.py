@@ -109,3 +109,21 @@ def test_bench_records_parse_with_required_fields():
         assert type(rec["machine"]["nproc"]) is int, path.name
         lines = rec["src_smstilt_py_lines"]
         assert type(lines["parent"]) is int and type(lines["change"]) is int, path.name
+
+
+def test_canonical_tree_bench_record():
+    # the tree-transport record: alternating pairs on every gated workload,
+    # and fresh-process timings of the three scale runs against their gates
+    rec = json.loads((ROOT / "BENCH_canonical-tree.json").read_text())
+    assert rec["machine"]["nproc"] == 2
+    assert rec["src_smstilt_py_lines"]["parent"] == 3180
+    gated = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    assert set(rec["workloads"]) == gated
+    for name, w in rec["workloads"].items():
+        assert w["pairs"] >= 10 and w["all_correct"], name
+        for metric, m in w["metrics"].items():
+            assert len(m["parent_runs"]) == len(m["change_runs"]) == w["pairs"], (name, metric)
+    runs = rec["scale_fresh_process_s"]["runs"]
+    assert set(runs) == {"A_7^14 bijection", "A_7^14 mutation-compat", "A_8^16 bijection"}
+    for name, r in runs.items():
+        assert r["parent"] and r["change"] and r["gate_met"] == (max(r["change"]) <= r["gate_s"]), name

@@ -1,12 +1,16 @@
+import itertools
+
+import numpy as np
 import pytest
 
-from smstilt import complexes as cx, modcat, smscfg
+from smstilt import brauer, complexes as cx, gf, modcat, smscfg
 from smstilt.cli import main
-from smstilt.complexes import Stalk, TwoTerm
+from smstilt.complexes import Arrow, Stalk, TwoTerm
 from smstilt.modcat import Algebra, Ind, _bar
-from smstilt.transport import (bfs_sequence, canonical_sequence,
-                               exchange_quiver, fmap, fmap_tracked,
-                               transport_along, two_term_objects, verify)
+from smstilt.transport import (_anchor, _folded_label, _parent, bfs_sequence,
+                               canonical_sequence, exchange_quiver, fmap,
+                               fmap_tracked, transport_along, two_term_objects,
+                               verify)
 
 A36 = Algebra(3, 6)
 
@@ -91,9 +95,8 @@ def test_fmap_confluence_with_paper_sequence():
 def test_type_preserved_along_canonical_steps():
     # every canonical-sequence mutation is at exceptional-incident edges and
     # keeps the bottom/top type fixed
-    from smstilt.transport import _anchor, _sequence_data
     for T in two_term_objects(A36):
-        sign, seq, _ = _sequence_data(T)
+        sign, seq = cx.part_of(T), canonical_sequence(T)
         C, pairing = _anchor(sign, A36)
         want = smscfg.prune_type(C, 3, 2)
         for orbit in seq:
@@ -101,6 +104,135 @@ def test_type_preserved_along_canonical_steps():
             C, rep = smscfg.sms_mutate_tracked(C, K, sign)
             pairing = {i: rep[p] for i, p in pairing.items()}
             assert smscfg.prune_type(C, 3, 2) == want
+
+
+def _replay(T):
+    """fmap_tracked computed the long way: the whole canonical sequence
+    replayed from the anchor, each summand matched to the replay index that
+    its folded edge ends on in the star."""
+    A = T.algebra
+    X, sign = cx.phi_inv(T)
+    _, star_tree = brauer.star_reduction(brauer.psi(X, sign, A.ell // A.e), sign)
+    index_of_summand = {}
+    for arc, s in cx.phi_with_labels(X, sign, A)[1].items():
+        base = arc.terminal if arc.kind == "projective" else arc.initial
+        vertex = star_tree.far(_folded_label(arc, A.e), star_tree.exceptional)
+        index_of_summand[s] = _bar(vertex + base - _bar(base, A.e), A.n)
+    C, pairing = _anchor(sign, A)
+    for orbit in canonical_sequence(T):
+        C, rep = smscfg.sms_mutate_tracked(C, {pairing[i] for i in orbit}, sign)
+        pairing = {i: rep[p] for i, p in pairing.items()}
+    return C, {s: pairing[index_of_summand[s]] for s in T.summands}
+
+
+# complexes whose correspondence differs from the replay's: none where n = e,
+# and in covering cases a permutation inside one Nakayama orbit, on the
+# complexes where the replay also differs from the derived-equivalence route
+REPLAY_DIFFERS = {(3, 6): 0, (4, 4): 0, (4, 8): 0, (6, 9): 10, (2, 6): 0, (6, 4): 2}
+
+
+@pytest.mark.parametrize("n, ell", list(REPLAY_DIFFERS))
+def test_canonical_sequences_form_a_tree(n, ell):
+    A = Algebra(n, ell)
+    differs = 0
+    for T in two_term_objects(A):
+        sign, R, replaced = _parent(T)
+        C, corr = fmap_tracked(T)
+        C0, corr0 = _replay(T)
+        assert C.points == C0.points
+        if R is None:
+            assert canonical_sequence(T) == []
+            continue
+        assert cx.part_of(R) == sign and set(replaced) < set(T.summands)
+        assert canonical_sequence(R) == canonical_sequence(T)[:-1]
+        for orbit in cx.nu_orbits(T):
+            assert {corr[s] for s in orbit} == {corr0[s] for s in orbit}
+        differs += corr != corr0
+    assert differs == REPLAY_DIFFERS[(n, ell)]
+
+
+def _derived_hom(t, M, A):
+    """(dim Hom_D(t, M), dim Hom_D(t, M[1])) for a summand t and a module M,
+    from module maps: a stalk gives Hom(P_i, M) in its degree, an arrow
+    P_a -> P_b the kernel and cokernel of Hom(P_b, M) -> Hom(P_a, M)."""
+    if isinstance(t, Stalk):
+        d = len(modcat.hom_basis(modcat.proj_of_top(t.idx, A), M, A))
+        return (d, 0) if t.deg == 0 else (0, d)
+    Pa, Pb = modcat.proj_of_top(t.src, A), modcat.proj_of_top(t.tgt, A)
+    depth = cx._min_pos_degree(t.src, t.tgt, A)
+    g = next(h for h in modcat.hom_basis(Pa, Pb, A) if h.sum() == A.loewy - depth)
+    fb, fa = modcat.hom_basis(Pb, M, A), modcat.hom_basis(Pa, M, A)
+    rank = gf.rank(np.array([(f @ g % 2).ravel() for f in fb])) if fb else 0
+    return (len(fb) - rank, len(fa) - rank)
+
+
+def _derived_correspondence(T):
+    """Summand -> point by the derived equivalence that T induces, sharing no
+    code with mutation: the summand t_j goes to the simple S_j of End(T),
+    whose image X_j has dim Hom_D(t_i, X_j[m]) = [i = j][m = 0].  X_j is a
+    module M or a shifted module M[1], with stable image M or Omega^-1 M."""
+    A = T.algebra
+    homs = {M: [_derived_hom(t, M, A) for t in T.summands] for M in modcat.nonprojective_inds(A)}
+    corr = {}
+    for j, s in enumerate(T.summands):
+        unit = [int(i == j) for i in range(len(T.summands))]
+        points = [smscfg.point_of(M) for M, h in homs.items() if h == [(u, 0) for u in unit]]
+        points += [smscfg.point_of(modcat.omega_inv(M, A)) for M, h in homs.items()
+                   if h == [(0, u) for u in unit]]
+        assert len(points) == 1, (T, s, points)
+        corr[s] = points[0]
+    return corr
+
+
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (6, 9), (6, 4), (4, 2)])
+def test_correspondence_matches_derived_equivalence(n, ell):
+    # the tree transport carries each summand through complex-side mutation;
+    # it agrees with the images of the simples on every complex, covering
+    # cases included, where the replay's index matching does not
+    for T in two_term_objects(Algebra(n, ell)):
+        assert fmap_tracked(T)[1] == _derived_correspondence(T)
+
+
+@pytest.mark.parametrize("n, ell", [(4, 8), (6, 9), (5, 10)])
+def test_built_complexes_are_tilting(n, ell):
+    # fmap trusts the complexes that phi builds from triangulations; this
+    # keeps the algebraic check on them
+    assert all(cx.is_tilting(T) for T in two_term_objects(Algebra(n, ell)))
+
+
+def _summands(A):
+    out = [Stalk(i, d) for i in range(1, A.n + 1) for d in (0, -1)]
+    for a, b in itertools.product(range(1, A.n + 1), repeat=2):
+        if cx._min_pos_degree(a, b, A) <= A.ell:
+            out.append(Arrow(a, b))
+    return out
+
+
+@pytest.mark.parametrize("n, ell", [(3, 6), (3, 3), (4, 2)])
+def test_fmap_domain_is_the_tilting_complexes(n, ell):
+    # the combinatorial check that fmap runs instead of is_tilting refuses
+    # exactly the non-tilting complexes among all basic ones with n summands
+    A = Algebra(n, ell)
+    for summands in itertools.combinations(_summands(A), A.n):
+        T = TwoTerm(A, summands)
+        if cx.is_tilting(T):
+            fmap_tracked(T)
+        else:
+            with pytest.raises(ValueError, match="^fmap is defined on two-term tilting complexes$"):
+                fmap_tracked(T)
+
+
+def test_fmap_refuses_non_tilting_complexes():
+    # three summands of one sign, not tilting: the loop <1,1> crosses <*,2>
+    T = TwoTerm(A36, (Stalk(1, 0), Stalk(2, 0), Arrow(3, 1)))
+    # a repeated summand: phi_inv gives a triangulation, but phi does not
+    # give the complex back
+    doubled = TwoTerm(A36, stalk_complex(A36).summands + (Stalk(3, 0),))
+    for U in (T, doubled):
+        assert not cx.is_tilting(U)
+        with pytest.raises(ValueError, match="^fmap is defined on two-term tilting complexes$"):
+            fmap_tracked(U)
+    assert cx.part_of(T) == "minus" and len(T.summands) == A36.n
 
 
 def test_correspondence_tracks_mutation():
