@@ -3,9 +3,14 @@
 Morphisms between projectives are polynomials in the radical generator:
 Hom(P_a, P_b) has basis x^s for 0 <= s <= ell with s = a - b (mod n),
 composition adds exponents and truncates above ell.  Complexes are kept
-as summand lists with polynomial differential entries; homotopy-category
-Hom spaces, cones, minimisation and mutation are exact GF(2) linear
-algebra on the polynomial coefficients.
+as summand lists with polynomial differential entries, and all of the
+work is exact GF(2) linear algebra on the polynomial coefficients.
+Hom_K(T, U) is read off the Hom complex, whose differential
+`_hom_differential` gives both the chain maps (its kernel in degree 0)
+and the null-homotopic maps (its image from degree -1).  Mutation takes
+the cone of a minimal approximation, and `normalize` reduces it in one
+elimination pass, cancelling contractible pairs and splitting the rest
+into stalks and arrows.
 """
 
 from __future__ import annotations
@@ -136,9 +141,6 @@ class ProjComplex:
     summands: list[tuple[int, int]]
     diff: dict[tuple[int, int], np.ndarray]
 
-    def degrees(self) -> set[int]:
-        return {d for d, _ in self.summands}
-
 
 def from_twoterm(T: TwoTerm) -> ProjComplex:
     A = T.algebra
@@ -173,88 +175,51 @@ def direct_sum(A: Algebra, blocks: list[ProjComplex]) -> tuple[ProjComplex, list
     return ProjComplex(A, summands, diff), offsets
 
 
-def _schur_update(diff: dict, r: int, c: int, A: Algebra, exact_divide: bool) -> None:
-    """Clear row r and column c against the pivot (r, c), in place."""
-    prc = diff[(r, c)]
-    rows_i = [i for (i, cc) in diff if cc == c and i != r]
-    cols_j = [j for (rr, j) in diff if rr == r and j != c]
-    for i in rows_i:
-        if exact_divide:
-            lam = _pdivide(diff[(i, c)], prc, A)
-        else:
-            lam = _pmul(diff[(i, c)], _pinv(prc, A), A)
-        for j in cols_j:
-            q = (diff.get((i, j), _pzero(A)) + _pmul(lam, diff[(r, j)], A)) % 2
-            if q.any():
-                diff[(i, j)] = q
-            elif (i, j) in diff:
-                diff.pop((i, j))
-    for key in [k for k in diff if k[0] == r or k[1] == c]:
-        if key != (r, c):
-            diff.pop(key)
+def normalize(C: ProjComplex) -> TwoTerm | None:
+    """The minimal two-term complex homotopic to C, or None when C does not
+    fit in degrees {-1, 0}.
 
-
-def minimize(C: ProjComplex) -> ProjComplex:
-    """Strip contractible pairs: cancel unit differential entries."""
-    A = C.algebra
-    summands = list(C.summands)
-    diff = {k: v.copy() for k, v in C.diff.items()}
-    while True:
-        pivot = next((k for k in sorted(diff) if diff[k][0] == 1), None)
-        if pivot is None:
-            break
-        r, c = pivot
-        _schur_update(diff, r, c, A, exact_divide=False)
-        diff.pop((r, c))
-        keep = [k for k in range(len(summands)) if k not in (r, c)]
-        remap = {old: new for new, old in enumerate(keep)}
-        summands = [summands[k] for k in keep]
-        # entries out of r or into c across degrees vanish after the basis
-        # change (char 2), so dropping them needs no correction
-        diff = {(remap[i], remap[j]): p for (i, j), p in diff.items()
-                if i in remap and j in remap and p.any()}
-    return ProjComplex(A, summands, diff)
-
-
-def decompose_two_term(C: ProjComplex) -> tuple[Summand, ...] | None:
-    """Split a minimal complex into stalks and arrows.
-
-    Returns None when the complex does not fit in degrees {-1, 0}.
-    Splitting pivots on a globally minimal-degree entry, whose row and
-    column can always be cleared by automorphisms of the degreewise sums.
+    Each step pivots on an entry of least lowest degree s, ties broken by
+    position, and clears its row and column by automorphisms of the
+    degreewise sums.  Clearing against a pivot of least degree creates no
+    unit, so every unit pivot comes first: a unit cancels a contractible
+    pair, and once none is left the window is checked and each pivot of
+    degree s >= 1 splits off an arrow of canonical degree.  Entries out of
+    a cancelled pair's target or into its source vanish after the basis
+    change (char 2), so dropping them needs no correction.
     """
     A = C.algebra
-    if not C.degrees() <= {-1, 0}:
-        return None
     summands: list = list(C.summands)
-    diff = {k: v.copy() for k, v in C.diff.items()}
+    diff = dict(C.diff)
     out: list[Summand] = []
+
+    def in_window():
+        return all(e is None or e[0] in (-1, 0) for e in summands)
+
     while diff:
-        (r, c), prc = min(diff.items(),
-                          key=lambda kv: (int(np.nonzero(kv[1])[0][0]), kv[0]))
-        s = int(np.nonzero(prc)[0][0])
-        if s < 1:
-            raise ValueError("decompose_two_term: unit entry; minimize before decomposing")
-        _schur_update(diff, r, c, A, exact_divide=True)
-        diff.pop((r, c))
-        a, b = summands[c][1], summands[r][1]
-        if s != _min_pos_degree(a, b, A):
-            raise ValueError(f"decompose_two_term: non-canonical degree x^{s} on P_{a} -> P_{b}")
-        out.append(Arrow(a, b))
+        s, (r, c) = min((int(p.nonzero()[0][0]), k) for k, p in diff.items())
+        if s and not in_window():
+            return None
+        prc = diff.pop((r, c))
+        lams = [(i, _pdivide(p, prc, A)) for (i, j), p in diff.items() if j == c]
+        row = [(j, p) for (i, j), p in diff.items() if i == r]
+        for i, lam in lams:
+            for j, p in row:
+                q = (diff.get((i, j), _pzero(A)) + _pmul(lam, p, A)) % 2
+                if q.any():
+                    diff[(i, j)] = q
+                else:
+                    diff.pop((i, j), None)
+        diff = {k: p for k, p in diff.items() if r not in k and c not in k}
+        if s:
+            a, b = summands[c][1], summands[r][1]
+            if s != _min_pos_degree(a, b, A):
+                raise ValueError(f"normalize: non-canonical degree x^{s} on P_{a} -> P_{b}")
+            out.append(Arrow(a, b))
         summands[r] = summands[c] = None
-    for entry in summands:
-        if entry is None:
-            continue
-        d, i = entry
-        out.append(Stalk(i, d))
-    return tuple(out)
-
-
-def normalize(C: ProjComplex) -> TwoTerm | None:
-    parts = decompose_two_term(minimize(C))
-    if parts is None:
+    if not in_window():
         return None
-    return TwoTerm(C.algebra, parts)
+    return TwoTerm(A, tuple(out) + tuple(Stalk(i, d) for d, i in filter(None, summands)))
 
 
 # -- rotation ------------------------------------------------------------------
@@ -306,83 +271,54 @@ def _rotation_keyed(fn):
 
 # -- homotopy-category Hom spaces --------------------------------------------
 
+def _hom_coords(T: ProjComplex, U: ProjComplex, k: int) -> list:
+    """Coordinates (slot, s) of the degree-k maps T -> U: the component x^s
+    in the slot (ui, ti) from T's summand ti to U's summand ui, which sits
+    k degrees higher; ui outer, ti inner, then s."""
+    A = T.algebra
+    return [((ui, ti), s)
+            for ui, (du, b) in enumerate(U.summands)
+            for ti, (dt, a) in enumerate(T.summands) if du == dt + k
+            for s in range((a - b) % A.n, A.ell + 1, A.n)]
+
+
+def _hom_differential(T: ProjComplex, U: ProjComplex, k: int) -> np.ndarray:
+    """The GF(2) matrix of the Hom-complex differential f -> d_U f + f d_T
+    from degree-k to degree-(k + 1) maps, in `_hom_coords` order.  Over an
+    odd characteristic the second term takes the sign -(-1)^k."""
+    L = T.algebra.ell + 1
+    rows = {co: r for r, co in enumerate(_hom_coords(T, U, k + 1))}
+    cols = _hom_coords(T, U, k)
+    dU = [(key, p.nonzero()[0].tolist()) for key, p in U.diff.items()]
+    dT = [(key, p.nonzero()[0].tolist()) for key, p in T.diff.items()]
+    D = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for col, ((ui, ti), s) in enumerate(cols):
+        terms = [((u2, ti), e) for (u2, u1), e in dU if u1 == ui]
+        terms += [((ui, t2), e) for (t1, t2), e in dT if t1 == ti]
+        for slot, e in terms:
+            for t in e:
+                if s + t < L:
+                    D[rows[(slot, s + t)], col] ^= 1
+    return D
+
+
 class HomSet:
     """Chain maps T -> U modulo homotopy, as GF(2) coordinate vectors.
 
-    Unknown coordinates run over (same-degree summand pair, valid
-    polynomial degree); `cycles` spans the chain maps and `boundaries`
-    the null-homotopic ones.
+    `unknowns` are the `_hom_coords` of degree 0; `cycles` spans the chain
+    maps, the kernel of the Hom-complex differential, and `boundaries` the
+    null-homotopic ones, its image from degree -1.
     """
 
     def __init__(self, T: ProjComplex, U: ProjComplex):
-        A = T.algebra
-        self.A, self.T, self.U = A, T, U
-        L = A.ell + 1
-        self.slots = [(ui, ti)
-                      for ui, (du, _) in enumerate(U.summands)
-                      for ti, (dt, _) in enumerate(T.summands) if du == dt]
-        self.sidx = {st: k for k, st in enumerate(self.slots)}
-
-        unknowns = []
-        for k, (ui, ti) in enumerate(self.slots):
-            a, b = T.summands[ti][1], U.summands[ui][1]
-            for s in range((a - b) % A.n, L, A.n):
-                unknowns.append((k, s))
-        self.unknowns = unknowns
-        self._colof = {ks: col for col, ks in enumerate(unknowns)}
-
-        eqpairs = [(ti, ui) for ti, (dt, _) in enumerate(T.summands)
-                   for ui, (du, _) in enumerate(U.summands) if du == dt + 1]
-        eidx = {tp: k for k, tp in enumerate(eqpairs)}
-
-        cond = np.zeros((L * len(eqpairs), len(unknowns)), dtype=np.int64)
-        for col, (k, s) in enumerate(unknowns):
-            ui, ti = self.slots[k]
-            for (u2, u1), p in U.diff.items():
-                if u1 != ui or (ti, u2) not in eidx:
-                    continue
-                base = eidx[(ti, u2)] * L
-                for t in range(s, L):
-                    if p[t - s]:
-                        cond[base + t, col] ^= 1
-            for (t1, t2), p in T.diff.items():
-                if t1 != ti or (t2, ui) not in eidx:
-                    continue
-                base = eidx[(t2, ui)] * L
-                for t in range(s, L):
-                    if p[t - s]:
-                        cond[base + t, col] ^= 1
-        if unknowns:
-            self.cycles = gf.nullspace(cond)
-        else:
-            self.cycles = np.zeros((0, 0), dtype=np.int64)
-
-        hslots = [(ui, ti) for ui, (du, _) in enumerate(U.summands)
-                  for ti, (dt, _) in enumerate(T.summands) if du == dt - 1]
-        brows = []
-        for (ui, ti) in hslots:
-            a, b = T.summands[ti][1], U.summands[ui][1]
-            for s in range((a - b) % A.n, L, A.n):
-                vec = np.zeros(len(unknowns), dtype=np.int64)
-                for (u2, u1), p in U.diff.items():
-                    if u1 == ui and (u2, ti) in self.sidx:
-                        self._add_poly(vec, (u2, ti), p, s)
-                for (t1, t2), p in T.diff.items():
-                    if t1 == ti and (ui, t2) in self.sidx:
-                        self._add_poly(vec, (ui, t2), p, s)
-                if vec.any():
-                    brows.append(vec)
-        self.boundaries = (np.array(brows, dtype=np.int64) if brows
-                           else np.zeros((0, len(unknowns)), dtype=np.int64))
+        self.A = T.algebra
+        self.unknowns = _hom_coords(T, U, 0)
+        self._colof = {co: col for col, co in enumerate(self.unknowns)}
+        self.cycles = gf.nullspace(_hom_differential(T, U, 0))
+        B = _hom_differential(T, U, -1).T
+        self.boundaries = B[B.any(axis=1)]
         self._br, self._bpiv = gf.rref(self.boundaries)
         self.dim = self.cycles.shape[0] - len(self._bpiv)
-
-    def _add_poly(self, vec, slot, p, s):
-        """vec += x^s * p in the coordinates of the given slot."""
-        k = self.sidx[slot]
-        for t in range(s, self.A.ell + 1):
-            if p[t - s]:
-                vec[self._colof[(k, t)]] ^= 1
 
     def basis(self) -> list[np.ndarray]:
         """Cycle representatives spanning Hom_K, independent mod boundaries."""
@@ -393,20 +329,18 @@ class HomSet:
 
     def to_map(self, vec: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
         f: dict[tuple[int, int], np.ndarray] = {}
-        for col, (k, s) in enumerate(self.unknowns):
-            if vec[col]:
-                slot = self.slots[k]
-                if slot not in f:
-                    f[slot] = _pzero(self.A)
-                f[slot][s] = 1
+        for col in np.flatnonzero(vec):
+            slot, s = self.unknowns[col]
+            if slot not in f:
+                f[slot] = _pzero(self.A)
+            f[slot][s] = 1
         return f
 
     def from_map(self, f: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
         vec = np.zeros(len(self.unknowns), dtype=np.int64)
-        for (ui, ti), p in f.items():
-            k = self.sidx[(ui, ti)]
-            for s in np.nonzero(p)[0]:
-                vec[self._colof[(k, int(s))]] ^= 1
+        for slot, p in f.items():
+            for s in np.flatnonzero(p):
+                vec[self._colof[(slot, int(s))]] ^= 1
         return vec
 
 
@@ -679,7 +613,7 @@ def _mutate_summand(s: Summand, key: tuple, sign: str, A: Algebra) -> Summand | 
     if left:
         U = normalize(cone(gmap, Xc, Mc))
     else:
-        U = normalize(shift(minimize(cone(gmap, Mc, Xc)), -1))
+        U = normalize(shift(cone(gmap, Mc, Xc), -1))
     if U is None:
         return None
     if len(U.summands) != 1:

@@ -318,8 +318,9 @@ def test_end_quiver_matches_uncached_composites():
 
 
 def _mutate_uncached(T, orbit, sign):
-    """Reference: the minimal approximation, its cone and normalize rebuilt
-    for every summand of every call, with nothing keyed or cached."""
+    """Reference: the minimal approximation, its cone and the two-pass
+    reduction rebuilt for every summand of every call, with nothing keyed or
+    cached."""
     A = T.algebra
     left = sign == "minus"
     rest = [s for s in T.summands if s not in orbit]
@@ -337,9 +338,9 @@ def _mutate_uncached(T, orbit, sign):
                 gmap[(ui + off, ti) if left else (ui, ti + off)] = p
         Xc = cx.from_twoterm(TwoTerm(A, (s,)))
         if left:
-            U = cx.normalize(cx.cone(gmap, Xc, Mc))
+            U = _normalize_two_pass(cx.cone(gmap, Xc, Mc))
         else:
-            U = cx.normalize(cx.shift(cx.minimize(cx.cone(gmap, Mc, Xc)), -1))
+            U = _normalize_two_pass(cx.shift(_minimize(cx.cone(gmap, Mc, Xc)), -1))
         if U is None:
             return None, None
         assert len(U.summands) == 1
@@ -481,11 +482,9 @@ def _poly(*coeffs):
 BROKEN_INVARIANTS = {
     "non-unit inverse": ("cx._pinv(_poly(0, 1), A36)", "_pinv"),
     "inexact division": ("cx._pdivide(_poly(1), _poly(0, 1), A36)", "_pdivide"),
-    "unit entry": ("cx.decompose_two_term(cx.ProjComplex(A36, [(-1, 1), (0, 1)], "
-                   "{(1, 0): _poly(1)}))", "decompose_two_term: unit entry"),
-    "non-canonical degree": ("cx.decompose_two_term(cx.ProjComplex(A36, [(-1, 1), (0, 1)], "
+    "non-canonical degree": ("cx.normalize(cx.ProjComplex(A36, [(-1, 1), (0, 1)], "
                              "{(1, 0): _poly(0, 0, 0, 0, 0, 0, 1)}))",
-                             "decompose_two_term: non-canonical"),
+                             "normalize: non-canonical"),
 }
 
 
@@ -520,3 +519,264 @@ def test_broken_invariants_raise_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+# -- test-local references for the complex side: the loop-built HomSet and the
+# two-pass reduction (cancel units, then split arrows) that the package folded
+# into `_hom_differential` and one `normalize` loop
+
+class _LoopHomSet:
+    """Reference: Hom_K(T, U) with the chain-map condition rows and the
+    homotopy rows each built by its own loop over the differentials."""
+
+    def __init__(self, T, U):
+        A = T.algebra
+        self.A = A
+        L = A.ell + 1
+        self.slots = [(ui, ti) for ui, (du, _) in enumerate(U.summands)
+                      for ti, (dt, _) in enumerate(T.summands) if du == dt]
+        self.sidx = {st: k for k, st in enumerate(self.slots)}
+        unknowns = []
+        for k, (ui, ti) in enumerate(self.slots):
+            a, b = T.summands[ti][1], U.summands[ui][1]
+            for s in range((a - b) % A.n, L, A.n):
+                unknowns.append((k, s))
+        self.unknowns = unknowns
+        self._colof = {ks: col for col, ks in enumerate(unknowns)}
+        eqpairs = [(ti, ui) for ti, (dt, _) in enumerate(T.summands)
+                   for ui, (du, _) in enumerate(U.summands) if du == dt + 1]
+        eidx = {tp: k for k, tp in enumerate(eqpairs)}
+        cond = np.zeros((L * len(eqpairs), len(unknowns)), dtype=np.int64)
+        for col, (k, s) in enumerate(unknowns):
+            ui, ti = self.slots[k]
+            for (u2, u1), p in U.diff.items():
+                if u1 == ui and (ti, u2) in eidx:
+                    for t in range(s, L):
+                        cond[eidx[(ti, u2)] * L + t, col] ^= int(p[t - s])
+            for (t1, t2), p in T.diff.items():
+                if t1 == ti and (t2, ui) in eidx:
+                    for t in range(s, L):
+                        cond[eidx[(t2, ui)] * L + t, col] ^= int(p[t - s])
+        self.cycles = gf.nullspace(cond) if unknowns else np.zeros((0, 0), dtype=np.int64)
+        hslots = [(ui, ti) for ui, (du, _) in enumerate(U.summands)
+                  for ti, (dt, _) in enumerate(T.summands) if du == dt - 1]
+        brows = []
+        for (ui, ti) in hslots:
+            a, b = T.summands[ti][1], U.summands[ui][1]
+            for s in range((a - b) % A.n, L, A.n):
+                vec = np.zeros(len(unknowns), dtype=np.int64)
+                for (u2, u1), p in U.diff.items():
+                    if u1 == ui and (u2, ti) in self.sidx:
+                        self._add_poly(vec, (u2, ti), p, s)
+                for (t1, t2), p in T.diff.items():
+                    if t1 == ti and (ui, t2) in self.sidx:
+                        self._add_poly(vec, (ui, t2), p, s)
+                if vec.any():
+                    brows.append(vec)
+        self.boundaries = (np.array(brows, dtype=np.int64) if brows
+                           else np.zeros((0, len(unknowns)), dtype=np.int64))
+        self._br, self._bpiv = gf.rref(self.boundaries)
+        self.dim = self.cycles.shape[0] - len(self._bpiv)
+
+    def _add_poly(self, vec, slot, p, s):
+        k = self.sidx[slot]
+        for t in range(s, self.A.ell + 1):
+            if p[t - s]:
+                vec[self._colof[(k, t)]] ^= 1
+
+    def to_map(self, vec):
+        f = {}
+        for col, (k, s) in enumerate(self.unknowns):
+            if vec[col]:
+                f.setdefault(self.slots[k], cx._pzero(self.A))[s] = 1
+        return f
+
+
+def _schur_update(diff, r, c, A, exact_divide):
+    prc = diff[(r, c)]
+    rows_i = [i for (i, cc) in diff if cc == c and i != r]
+    cols_j = [j for (rr, j) in diff if rr == r and j != c]
+    for i in rows_i:
+        if exact_divide:
+            lam = cx._pdivide(diff[(i, c)], prc, A)
+        else:
+            lam = cx._pmul(diff[(i, c)], cx._pinv(prc, A), A)
+        for j in cols_j:
+            q = (diff.get((i, j), cx._pzero(A)) + cx._pmul(lam, diff[(r, j)], A)) % 2
+            if q.any():
+                diff[(i, j)] = q
+            elif (i, j) in diff:
+                diff.pop((i, j))
+    for key in [k for k in diff if k[0] == r or k[1] == c]:
+        if key != (r, c):
+            diff.pop(key)
+
+
+def _minimize(C):
+    """Reference, first pass: cancel the first unit entry by position until
+    none is left, renumbering the summands after each cancellation."""
+    A = C.algebra
+    summands = list(C.summands)
+    diff = {k: v.copy() for k, v in C.diff.items()}
+    while True:
+        pivot = next((k for k in sorted(diff) if diff[k][0] == 1), None)
+        if pivot is None:
+            break
+        r, c = pivot
+        _schur_update(diff, r, c, A, exact_divide=False)
+        diff.pop((r, c))
+        keep = [k for k in range(len(summands)) if k not in (r, c)]
+        remap = {old: new for new, old in enumerate(keep)}
+        summands = [summands[k] for k in keep]
+        diff = {(remap[i], remap[j]): p for (i, j), p in diff.items()
+                if i in remap and j in remap and p.any()}
+    return cx.ProjComplex(A, summands, diff)
+
+
+def _decompose_two_term(C):
+    """Reference, second pass: None outside degrees {-1, 0}, else split off
+    an arrow at an entry of least degree, ties by position, until none is
+    left."""
+    A = C.algebra
+    if not {d for d, _ in C.summands} <= {-1, 0}:
+        return None
+    summands = list(C.summands)
+    diff = {k: v.copy() for k, v in C.diff.items()}
+    out = []
+    while diff:
+        (r, c), prc = min(diff.items(), key=lambda kv: (int(np.nonzero(kv[1])[0][0]), kv[0]))
+        s = int(np.nonzero(prc)[0][0])
+        if s < 1:
+            raise ValueError("decompose_two_term: unit entry; minimize before decomposing")
+        _schur_update(diff, r, c, A, exact_divide=True)
+        diff.pop((r, c))
+        a, b = summands[c][1], summands[r][1]
+        if s != cx._min_pos_degree(a, b, A):
+            raise ValueError(f"decompose_two_term: non-canonical degree x^{s} on P_{a} -> P_{b}")
+        out.append(Arrow(a, b))
+        summands[r] = summands[c] = None
+    return tuple(out) + tuple(Stalk(i, d) for d, i in filter(None, summands))
+
+
+def _normalize_two_pass(C):
+    parts = _decompose_two_term(_minimize(C))
+    return None if parts is None else TwoTerm(C.algebra, parts)
+
+
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (6, 9)])
+def test_homset_matches_loop_reference(n, ell):
+    # every summand pair, every shift that can carry a chain map; one Hom
+    # differential must give the loop-built rows, row for row
+    A = Algebra(n, ell)
+    summands = {s for T in transport.two_term_objects(A) for s in T.summands}
+    for a in summands:
+        for b in summands:
+            for k in (-1, 0, 1):
+                T, U = cx._summand_complex(a, A), cx.shift(cx._summand_complex(b, A), k)
+                got, want = cx.HomSet(T, U), _LoopHomSet(T, U)
+                assert got.unknowns == [(want.slots[j], s) for j, s in want.unknowns]
+                for name in ("cycles", "boundaries", "_br"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (a, b, k, name)
+                assert got.dim == want.dim, (a, b, k)
+                for z in got.cycles:
+                    f = got.to_map(z)
+                    assert f.keys() == want.to_map(z).keys()
+                    assert all(np.array_equal(f[st], p) for st, p in want.to_map(z).items())
+                    assert np.array_equal(got.from_map(f), z)
+
+
+def _mutation_cones(A, monkeypatch):
+    """Every complex that `_mutate_summand` reduces while each object of A is
+    mutated at each orbit with both signs."""
+    cones, normalize = [], cx.normalize
+
+    def record(C):
+        cones.append(C)
+        return normalize(C)
+
+    with monkeypatch.context() as m:
+        m.setattr(cx, "normalize", record)
+        cx._mutate_summand.cache_clear()
+        for T in transport.two_term_objects(A):
+            for orbit in nu_orbits(T):
+                for sign in ("minus", "plus"):
+                    cx.two_term_mutate_tracked(T, orbit, sign)
+    return cones
+
+
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (6, 9), (5, 10)])
+def test_normalize_matches_two_pass_reference_on_mutation_cones(n, ell, monkeypatch):
+    results = [(cx.normalize(C), _normalize_two_pass(C))
+               for C in _mutation_cones(Algebra(n, ell), monkeypatch)]
+    assert all(got == want for got, want in results)
+    # both outcomes occur: a replacement summand, and a cone off the window
+    assert {len(got.summands) if got else None for got, _ in results} == {1, None}
+
+
+def _complex(summands, diff):
+    return cx.ProjComplex(A36, summands, {k: _poly(*v) for k, v in diff.items()})
+
+
+# hand cases over A_3^6: (complex, its minimal two-term form or None)
+NORMALIZE_CASES = {
+    "contractible unit pair": (_complex([(-1, 1), (0, 1)], {(1, 0): (1,)}), TwoTerm(A36, ())),
+    "unit beside an arrow": (_complex([(-1, 1), (-1, 2), (0, 1)], {(2, 0): (1,), (2, 1): (0, 1)}),
+                             TwoTerm(A36, (Stalk(2, -1),))),
+    "unit cancels outside the window": (_complex([(-2, 1), (-1, 1), (0, 2)], {(1, 0): (1,)}),
+                                        TwoTerm(A36, (Stalk(2, 0),))),
+    "least degree before position": (_complex([(-1, 1), (-1, 1), (0, 1), (0, 1)],
+                                              {(2, 0): (0,) * 6 + (1,), (2, 1): (0, 0, 0, 1),
+                                               (3, 0): (0, 0, 0, 1)}),
+                                     TwoTerm(A36, (Arrow(1, 1), Arrow(1, 1)))),
+    "arrow off the window": (_complex([(-2, 1), (-1, 2)], {(1, 0): (0, 0, 1)}), None),
+    "stalk off the window": (_complex([(1, 2)], {}), None),
+    # the window is checked before the non-canonical degree can raise
+    "off the window and non-canonical": (_complex([(-1, 1), (0, 1), (1, 2)],
+                                                  {(1, 0): (0,) * 6 + (1,)}), None),
+}
+
+
+@pytest.mark.parametrize("case", NORMALIZE_CASES)
+def test_normalize_hand_cases(case):
+    C, want = NORMALIZE_CASES[case]
+    assert cx.normalize(C) == want
+    assert _normalize_two_pass(C) == want
+
+
+def test_normalize_raises_on_non_canonical_degree():
+    C = _complex([(-1, 1), (0, 1)], {(1, 0): (0,) * 6 + (1,)})
+    with pytest.raises(ValueError, match="^normalize: non-canonical degree x\\^6 on P_1 -> P_1$"):
+        cx.normalize(C)
+    with pytest.raises(ValueError, match="^decompose_two_term: non-canonical"):
+        _normalize_two_pass(C)
+
+
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (2, 6)])
+def test_normalize_matches_two_pass_reference_on_random_two_term_complexes(n, ell):
+    # any matrix of maps between degrees -1 and 0 is a complex; entries are
+    # random sums of valid monomials, units included
+    A = Algebra(n, ell)
+    rng = random.Random(20261019 + n)
+    split = 0
+    for _ in range(300):
+        summands = ([(-1, rng.randint(1, n)) for _ in range(rng.randint(0, 3))]
+                    + [(0, rng.randint(1, n)) for _ in range(rng.randint(0, 3))])
+        diff = {}
+        for r, (dr, b) in enumerate(summands):
+            for c, (dc, a) in enumerate(summands):
+                if (dr, dc) == (0, -1):
+                    p = cx._pzero(A)
+                    for s in range((a - b) % n, ell + 1, n):
+                        p[s] = rng.random() < 0.4
+                    if p.any():
+                        diff[(r, c)] = p
+        C = cx.ProjComplex(A, summands, diff)
+        try:
+            want = _normalize_two_pass(C)
+        except ValueError:
+            with pytest.raises(ValueError, match="^normalize: non-canonical"):
+                cx.normalize(C)
+            continue
+        assert cx.normalize(C) == want, C
+        split += any(isinstance(s, Arrow) for s in want.summands)
+    assert split >= 30

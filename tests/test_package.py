@@ -10,7 +10,8 @@ import smstilt
 SRC = Path(smstilt.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
 
-# module-level definitions that no code in src/ refers to, kept on purpose
+# module-level definitions and methods that no code in src/ refers to, kept on
+# purpose
 KEPT = {
     "transport.bfs_sequence": "breadth-first route of the transport confluence check",
     "transport.transport_along": "replays a breadth-first path for the confluence check",
@@ -27,6 +28,9 @@ def _uncalled_definitions():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((node.name, f"{path.stem}.{node.name}"))
+            if isinstance(node, ast.ClassDef):
+                defined += [(m.name, f"{path.stem}.{node.name}.{m.name}") for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referred.add(node.id)
