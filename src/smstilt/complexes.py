@@ -8,9 +8,11 @@ work is exact GF(2) linear algebra on the polynomial coefficients.
 Hom_K(T, U) is read off the Hom complex, whose differential
 `_hom_differential` gives both the chain maps (its kernel in degree 0)
 and the null-homotopic maps (its image from degree -1).  Mutation takes
-the cone of a minimal approximation, and `normalize` reduces it in one
-elimination pass, cancelling contractible pairs and splitting the rest
-into stalks and arrows.
+the cone of the universal approximation, every basis map into (or out of)
+the other summands, and `normalize` reduces it in one elimination pass,
+cancelling contractible pairs and splitting the rest into stalks and
+arrows; the one summand that is not an approximation target replaces the
+mutated one.
 """
 
 from __future__ import annotations
@@ -117,14 +119,16 @@ def _pinv(a: np.ndarray, A: Algebra) -> np.ndarray:
     return b
 
 
-def _pdivide(num: np.ndarray, den: np.ndarray, A: Algebra) -> np.ndarray:
-    """num / den where den = x^s * unit and num is divisible by x^s."""
-    s = int(np.nonzero(den)[0][0])
+def _pshift(p: np.ndarray, s: int) -> np.ndarray:
+    """p / x^s, dropping the terms below x^s."""
+    return np.concatenate([p[s:], np.zeros(s, dtype=np.int64)])
+
+
+def _pdivide(num: np.ndarray, s: int, inv: np.ndarray, A: Algebra) -> np.ndarray:
+    """num / (x^s * u) for inv = u^-1, where num is divisible by x^s."""
     if num[:s].any():
         raise ValueError(f"_pdivide: the numerator is not divisible by x^{s}")
-    unit = np.concatenate([den[s:], np.zeros(s, dtype=np.int64)])
-    shifted = np.concatenate([num[s:], np.zeros(s, dtype=np.int64)])
-    return _pmul(shifted, _pinv(unit, A), A)
+    return _pmul(_pshift(num, s), inv, A)
 
 
 # -- raw complexes of projectives --------------------------------------------
@@ -200,8 +204,8 @@ def normalize(C: ProjComplex) -> TwoTerm | None:
         s, (r, c) = min((int(p.nonzero()[0][0]), k) for k, p in diff.items())
         if s and not in_window():
             return None
-        prc = diff.pop((r, c))
-        lams = [(i, _pdivide(p, prc, A)) for (i, j), p in diff.items() if j == c]
+        inv = _pinv(_pshift(diff.pop((r, c)), s), A)
+        lams = [(i, _pdivide(p, s, inv, A)) for (i, j), p in diff.items() if j == c]
         row = [(j, p) for (i, j), p in diff.items() if i == r]
         for i, lam in lams:
             for j, p in row:
@@ -313,7 +317,6 @@ class HomSet:
     def __init__(self, T: ProjComplex, U: ProjComplex):
         self.A = T.algebra
         self.unknowns = _hom_coords(T, U, 0)
-        self._colof = {co: col for col, co in enumerate(self.unknowns)}
         self.cycles = gf.nullspace(_hom_differential(T, U, 0))
         B = _hom_differential(T, U, -1).T
         self.boundaries = B[B.any(axis=1)]
@@ -335,28 +338,6 @@ class HomSet:
                 f[slot] = _pzero(self.A)
             f[slot][s] = 1
         return f
-
-    def from_map(self, f: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-        vec = np.zeros(len(self.unknowns), dtype=np.int64)
-        for slot, p in f.items():
-            for s in np.flatnonzero(p):
-                vec[self._colof[(slot, int(s))]] ^= 1
-        return vec
-
-
-def compose_maps(g: dict, f: dict, A: Algebra) -> dict:
-    """Composite of chain maps f: F -> G and g: G -> H (position-indexed)."""
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for (hi, gi), pg in g.items():
-        for (gi2, fi), pf in f.items():
-            if gi2 != gi:
-                continue
-            q = (out.get((hi, fi), _pzero(A)) + _pmul(pg, pf, A)) % 2
-            if q.any():
-                out[(hi, fi)] = q
-            elif (hi, fi) in out:
-                out.pop((hi, fi))
-    return out
 
 
 def cone(f: dict, X: ProjComplex, Y: ProjComplex) -> ProjComplex:
@@ -523,87 +504,38 @@ def _summand_complex(s: Summand, A: Algebra) -> ProjComplex:
 @_rotation_keyed
 def _summand_hom(a: Summand, b: Summand, A: Algebra) -> tuple[HomSet, np.ndarray]:
     """Hom_K between two single-summand complexes, and coordinate rows in it,
-    reduced modulo the boundaries, of chain maps spanning the non-isomorphisms
-    a -> b.  Both are built in the frame that anchors a; they are positional,
-    so they serve every rotation of (a, b).  Callers must not mutate them.
-
-    For a == b the radical of the local ring End(a) is read off constant
-    terms.  Every differential lies in the radical, so a homotopy changes no
-    constant term, and an endomorphism of a one-summand complex is a unit
-    exactly when one of its components has a nonzero constant term.  The
-    first unit basis element is dropped and added to every other unit."""
+    reduced modulo the boundaries, of chain maps that form a basis.  For
+    a != b, as every caller has, each map is a non-isomorphism, so the rows
+    span the radical.  Both are built in the frame that anchors a; they are
+    positional, so they serve every rotation of (a, b).  Callers must not
+    mutate them."""
     HS = HomSet(_summand_complex(a, A), _summand_complex(b, A))
-    basis = HS.basis()
-    if a == b:
-        const = [col for col, (_, s) in enumerate(HS.unknowns) if s == 0]
-        units = [int(z[const].any()) for z in basis]
-        if 1 not in units:
-            raise RuntimeError(f"no unit in the endomorphism ring of {a}")
-        t0 = units.index(1)
-        basis = [(z + u * basis[t0]) % 2 for t, (z, u) in enumerate(zip(basis, units)) if t != t0]
-    rows = np.array([HS.reduce(z) for z in basis], dtype=np.int64)
+    rows = np.array([HS.reduce(z) for z in HS.basis()], dtype=np.int64)
     for M in (HS.cycles, HS.boundaries, HS._br):
         _frozen(M)
-    return HS, _frozen(rows.reshape(len(basis), len(HS.unknowns)))
-
-
-def _irreducible_maps(a: Summand, b: Summand, mids, A: Algebra) -> tuple[int, ...]:
-    """Indices into the radical rows of `_summand_hom(a, b)` of maps whose
-    classes form a basis of rad(a, b) modulo homotopy and the composites
-    rad(c, b) . rad(a, c) over c in mids."""
-    rad = _summand_hom(a, b, A)[1]
-    if not len(rad):
-        return ()
-    ideal = [M for c in mids if len(M := _through(a, c, b, A))]
-    if not ideal:
-        return tuple(range(len(rad)))
-    # both sides are reduced modulo the boundaries, so they need not be added
-    return tuple(gf.independent_mod(np.concatenate(ideal), rad))
+    return HS, _frozen(rows.reshape(len(rows), len(HS.unknowns)))
 
 
 @lru_cache(maxsize=None)
-def _through(a: Summand, c: Summand, b: Summand, A: Algebra) -> np.ndarray:
-    """Coordinates in Hom_K(a, b) of the composites rad(c, b) . rad(a, c) that
-    are not null-homotopic, reduced modulo the boundaries; callers must not
-    mutate it.  Hom_K(c, b) is only built when rad(a, c) is nonzero."""
-    HS = _summand_hom(a, b, A)[0]
-    F, fs = _summand_hom(a, c, A)
-    G, gs = _summand_hom(c, b, A) if len(fs) else (None, ())
-    through = [v for f in fs for g in gs
-               if (v := HS.reduce(HS.from_map(compose_maps(G.to_map(g), F.to_map(f), A)))).any()]
-    return _frozen(np.array(through, dtype=np.int64).reshape(len(through), len(HS.unknowns)))
+def _mutate_summand(s: Summand, targets: tuple, sign: str, A: Algebra) -> Summand | None:
+    """The summand that replaces s in its left (sign minus) or right (plus)
+    mutation, or None when the mutation leaves the two-term window.
+    `targets` are the summands m of the rest, in `sort_key` order, with
+    Hom_K(s, m) (or Hom_K(m, s)) nonzero; the cone depends on nothing else.
 
-
-@lru_cache(maxsize=None)
-def _min_approx(s: Summand, rest: tuple, A: Algebra, left: bool) -> tuple:
-    """Minimal left (or right) add(rest)-approximation of the summand s in the
-    homotopy category, for rest a tuple of distinct summands in `sort_key`
-    order, as a hashable key: a pair (m, indices) for each target (source) m
-    that takes part, where the indices pick the components from the radical
-    rows of `_summand_hom(s, m)` (or `_summand_hom(m, s)`).
-
-    The components into (out of) m are a basis of Hom_K(s, m) modulo the
-    composites through rad(add rest), so no summand can be dropped.
-    """
-    key = []
-    for m in rest:
-        if keep := _irreducible_maps(*((s, m) if left else (m, s)), rest, A):
-            key.append((m, keep))
-    return tuple(key)
-
-
-@lru_cache(maxsize=None)
-def _mutate_summand(s: Summand, key: tuple, sign: str, A: Algebra) -> Summand | None:
-    """The summand that replaces s in the mutation whose minimal approximation
-    of s is `key` (see `_min_approx`): the cone of the approximation, or None
-    when it leaves the two-term window.  The components are the radical rows
-    of `_summand_hom` that the key picks, as chain maps.  A cone that is not
-    one summand raises SplitCone with its summands."""
+    The approximation is the universal one: every row of `_summand_hom(s, m)`
+    (or `_summand_hom(m, s)`) for each target m, as a chain map.  In a
+    Krull-Schmidt category any add(rest)-approximation is f = (f', 0) from s
+    into M' + M'', with f' the minimal one and M'' in add(targets), so
+    cone(f) = cone(f') + M''.  M'' lies in the two-term window, so `normalize`
+    gives None exactly when cone(f') leaves it; otherwise cone(f') is the one
+    summand of the reduced cone that is not a target.  Any other count raises
+    SplitCone with the summands that are not targets."""
     left = sign == "minus"
     items = []
-    for m, keep in key:
-        HS, rad = _summand_hom(*((s, m) if left else (m, s)), A)
-        items += [(m, HS.to_map(rad[k])) for k in keep]
+    for m in targets:
+        HS, rows = _summand_hom(*((s, m) if left else (m, s)), A)
+        items += [(m, HS.to_map(z)) for z in rows]
     Mc, offs = direct_sum(A, [_summand_complex(m, A) for m, _ in items])
     gmap: dict[tuple[int, int], np.ndarray] = {}
     for (_, f), off in zip(items, offs):
@@ -616,9 +548,10 @@ def _mutate_summand(s: Summand, key: tuple, sign: str, A: Algebra) -> Summand | 
         U = normalize(shift(cone(gmap, Mc, Xc), -1))
     if U is None:
         return None
-    if len(U.summands) != 1:
-        raise SplitCone(U.summands)
-    return U.summands[0]
+    new = tuple(x for x in U.summands if x not in targets)
+    if len(new) != 1:
+        raise SplitCone(new)
+    return new[0]
 
 
 def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
@@ -646,16 +579,20 @@ def _mutate_tracked(T: TwoTerm, orbit: frozenset, sign: str):
     mutated, and memoised, in the frame sigma^k that puts sigma^k s at
     vertex 1 (`_anchor`).  Since `sort_key` compares vertices after kind
     and degree, that k alone puts (sigma^k s, sorted sigma^k rest) first.
+    The replacement is cached on sigma^k s and its approximation targets
+    there, in `sort_key` order (see `_mutate_summand`).
     """
     A = T.algebra
+    left = sign == "minus"
     rest = [s for s in T.summands if s not in orbit]
     replaced: dict[Summand, Summand] = {}
     for s in sorted(orbit, key=lambda x: x.sort_key()):
         k = _anchor(s, A)
-        sk = _rotate(s, k, A)
-        restk = tuple(sorted((_rotate(m, k, A) for m in rest), key=lambda x: x.sort_key()))
+        targets = tuple(sorted((_rotate(m, k, A) for m in rest
+                                if len(_summand_hom(*((s, m) if left else (m, s)), A)[1])),
+                               key=lambda x: x.sort_key()))
         try:
-            new = _mutate_summand(sk, _min_approx(sk, restk, A, sign == "minus"), sign, A)
+            new = _mutate_summand(_rotate(s, k, A), targets, sign, A)
         except SplitCone as exc:
             raise RuntimeError(f"mutation of {s} produced {len(exc.args[0])} summands") from None
         if new is None:
@@ -669,18 +606,3 @@ def _mutate_tracked(T: TwoTerm, orbit: frozenset, sign: str):
 
 def two_term_mutate(T: TwoTerm, orbit, sign: str) -> TwoTerm | None:
     return two_term_mutate_tracked(T, orbit, sign)[0]
-
-
-# -- endomorphism quiver -------------------------------------------------------
-
-def end_quiver(T: TwoTerm) -> dict[tuple[Summand, Summand], int]:
-    """Arrow counts dim rad/rad^2 of End(T) between the summands of T."""
-    if not is_tilting(T):
-        raise ValueError("end_quiver requires a tilting complex")
-    arrows: dict[tuple[Summand, Summand], int] = {}
-    for a in T.summands:
-        for b in T.summands:
-            count = len(_irreducible_maps(a, b, T.summands, T.algebra))
-            if count:
-                arrows[(a, b)] = count
-    return arrows

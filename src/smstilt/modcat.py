@@ -434,8 +434,11 @@ def cone_of_stable_map(g: ModMap, A: Algebra, p: int = 2) -> ModSum:
 
 
 class SplitCone(Exception):
-    """A mutation cone that is not one indecomposable, raised with its summands
-    by a cache that works in a rotated frame; lru_cache keeps no exceptions."""
+    """A mutation cone that does not give exactly one new indecomposable,
+    raised by a cache that works in a rotated frame (lru_cache keeps no
+    exceptions) with the summands that would be new: every summand of a
+    module cone, or the summands of a complex cone that are not targets of
+    its approximation."""
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ multiplicity collapse and the module-level functor identities.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -187,65 +186,6 @@ def _summand_str(s) -> str:
     if isinstance(s, complexes.Stalk):
         return f"P{s.idx}@{s.deg}"
     return f"(P{s.src}->P{s.tgt})"
-
-
-# -- alternative transport for the confluence check ----------------------------
-
-def bfs_sequence(T: TwoTerm) -> list[frozenset]:
-    """Shortest mutation path from the anchor to T in the two-term class.
-
-    Minus-part objects are reached from the stalk complex by left
-    mutations, plus-part ones from its shift by right mutations; each step
-    records the mutated orbit, as summand sets of the complex mutated at
-    that step.
-    """
-    A = T.algebra
-    sign = complexes.part_of(T)
-    X0 = disc.Triangulation(A.e, tuple(disc.projective_arc(i) for i in range(1, A.e + 1)))
-    anchor = complexes.phi(X0, sign, A)
-    if T == anchor:
-        return []
-    seen = {anchor: None}
-    queue = deque([anchor])
-    while queue:
-        U = queue.popleft()
-        for orbit in complexes.nu_orbits(U):
-            R = complexes._mutate_tracked(U, orbit, sign)[0]
-            if R is None or R in seen:
-                continue
-            seen[R] = (U, orbit)
-            if R == T:
-                path = []
-                V = R
-                while seen[V] is not None:
-                    U0, orb = seen[V]
-                    path.append((U0, orb))
-                    V = U0
-                return [orb for _, orb in reversed(path)]
-            queue.append(R)
-    raise RuntimeError("complex not reachable inside the two-term class")
-
-
-def transport_along(T: TwoTerm, orbits: list[frozenset]) -> Configuration:
-    """Replay an explicit complex-side mutation path on the sms side."""
-    A = T.algebra
-    sign = complexes.part_of(T)
-    X0 = disc.Triangulation(A.e, tuple(disc.projective_arc(i) for i in range(1, A.e + 1)))
-    U = complexes.phi(X0, sign, A)
-    C, pairing = _anchor(sign, A)
-    summand_index = {s: s.idx for s in U.summands}
-    for orbit in orbits:
-        K = {pairing[summand_index[s]] for s in orbit}
-        R, replaced = complexes.two_term_mutate_tracked(U, orbit, sign)
-        if R is None:
-            raise RuntimeError("path leaves the two-term class")
-        C, rep = smscfg.sms_mutate_tracked(C, K, sign)
-        pairing = {i: rep[pt] for i, pt in pairing.items()}
-        summand_index = {replaced.get(s, s): i for s, i in summand_index.items()}
-        U = R
-    if U != T:
-        raise RuntimeError("mutation path does not end at the requested complex")
-    return C
 
 
 # -- verification suites ---------------------------------------------------------

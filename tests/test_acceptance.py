@@ -13,6 +13,8 @@ from smstilt import brauer, complexes as cx, disc, smscfg, transport
 from smstilt.complexes import Arrow, Stalk, TwoTerm
 from smstilt.modcat import Algebra
 
+from _transport_reference import bfs_sequence, transport_along
+
 A36 = Algebra(3, 6)
 A33 = Algebra(3, 3)
 
@@ -175,7 +177,7 @@ def test_criterion_12_confluence():
     failures = 0
     objs = transport.two_term_objects(A36)
     for T in objs:
-        alt = transport.transport_along(T, transport.bfs_sequence(T))
+        alt = transport_along(T, bfs_sequence(T))
         if alt.points != transport.fmap(T).points:
             failures += 1
     check(12, "transport confluence", failures == 0,

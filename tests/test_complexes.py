@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from smstilt import brauer, complexes as cx, disc, gf, transport
-from smstilt.complexes import (Arrow, Stalk, TwoTerm, end_quiver,
-                               hom_complex_dim, is_silting, is_tilting,
-                               nu_complex, nu_orbits, phi, phi_inv,
-                               two_term_mutate, twoterm_from_json)
+from smstilt.complexes import (Arrow, Stalk, TwoTerm, hom_complex_dim,
+                               is_silting, is_tilting, nu_complex, nu_orbits,
+                               phi, phi_inv, two_term_mutate, twoterm_from_json)
 from smstilt.modcat import Algebra
+
+from _transport_reference import bfs_sequence
 
 A36 = Algebra(3, 6)
 
@@ -256,6 +257,31 @@ def test_end_quiver_matches_brauer_tree():
 _REFERENCE = {}
 
 
+def _from_map(HS, f):
+    """Coordinates in `HS.unknowns` of a position-indexed chain map f."""
+    colof = {co: col for col, co in enumerate(HS.unknowns)}
+    vec = np.zeros(len(HS.unknowns), dtype=np.int64)
+    for slot, p in f.items():
+        for s in np.flatnonzero(p):
+            vec[colof[(slot, int(s))]] ^= 1
+    return vec
+
+
+def _compose_maps(g, f, A):
+    """Composite of position-indexed chain maps f: F -> G and g: G -> H."""
+    out = {}
+    for (hi, gi), pg in g.items():
+        for (gi2, fi), pf in f.items():
+            if gi2 != gi:
+                continue
+            q = (out.get((hi, fi), cx._pzero(A)) + cx._pmul(pg, pf, A)) % 2
+            if q.any():
+                out[(hi, fi)] = q
+            elif (hi, fi) in out:
+                out.pop((hi, fi))
+    return out
+
+
 def _radical_reference(a, b, A):
     """Reference: Hom_K(a, b) built from scratch, and chain maps spanning its
     non-isomorphisms, with the radical of End(a) found as its nilpotent
@@ -267,8 +293,8 @@ def _radical_reference(a, b, A):
     def is_nilpotent(z):
         f = acc = HS.to_map(z)
         for _ in range(len(HS.unknowns) + 1):
-            acc = cx.compose_maps(acc, f, A)
-            if not HS.reduce(HS.from_map(acc)).any():
+            acc = _compose_maps(acc, f, A)
+            if not HS.reduce(_from_map(HS, acc)).any():
                 return True
         return False
 
@@ -285,14 +311,15 @@ def _radical_reference(a, b, A):
 
 @pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (2, 6), (6, 9), (5, 10)])
 def test_constant_term_radical_matches_nilpotent_classes(n, ell):
-    # a unit of End(a) is told by a constant term; the reference tests
-    # nilpotency, and both must give the same reduced radical rows
+    # for a != b, as in every package call, Hom_K(a, b) is the radical; the
+    # reference finds the radical by nilpotency, and both must give the same
+    # reduced rows
     A = Algebra(n, ell)
     summands = {s for T in transport.two_term_objects(A) for s in T.summands}
     for a in summands:
-        for b in summands:
+        for b in summands - {a}:
             HS, maps = _radical_reference(a, b, A)
-            want = [HS.reduce(HS.from_map(f)) for f in maps]
+            want = [HS.reduce(_from_map(HS, f)) for f in maps]
             got = cx._summand_hom(a, b, A)[1]
             assert len(got) == len(want) and all(map(np.array_equal, got, want)), (a, b)
 
@@ -303,18 +330,19 @@ def _irreducible_uncached(a, b, mids, A):
     HS, rad = _radical_reference(a, b, A)
     if not rad:
         return ()
-    through = [HS.from_map(cx.compose_maps(g, f, A)) for c in mids
+    through = [_from_map(HS, _compose_maps(g, f, A)) for c in mids
                for f in _radical_reference(a, c, A)[1] for g in _radical_reference(c, b, A)[1]]
     ideal = np.concatenate([HS.boundaries,
                             np.array(through, dtype=np.int64).reshape(-1, len(HS.unknowns))])
-    return tuple(gf.independent_mod(ideal, np.array([HS.from_map(f) for f in rad])))
+    return tuple(gf.independent_mod(ideal, np.array([_from_map(HS, f) for f in rad])))
 
 
-def test_end_quiver_matches_uncached_composites():
-    for T in transport.two_term_objects(A36):
-        want = {(a, b): c for a in T.summands for b in T.summands
-                if (c := len(_irreducible_uncached(a, b, T.summands, A36)))}
-        assert end_quiver(T) == want
+def end_quiver(T):
+    """Arrow counts dim rad/rad^2 of End(T) between the summands of T."""
+    if not is_tilting(T):
+        raise ValueError("end_quiver requires a tilting complex")
+    return {(a, b): c for a in T.summands for b in T.summands
+            if (c := len(_irreducible_uncached(a, b, T.summands, T.algebra)))}
 
 
 def _mutate_uncached(T, orbit, sign):
@@ -356,11 +384,6 @@ def test_cached_mutation_matches_reference():
                 for sign in ("minus", "plus"):
                     want = _mutate_uncached(T, orbit, sign)
                     assert cx.two_term_mutate_tracked(T, orbit, sign) == want, (n, ell, T, orbit, sign)
-    for T in transport.two_term_objects(A36):
-        for a in T.summands:
-            for b in T.summands:
-                want = _irreducible_uncached(a, b, T.summands, A36)
-                assert cx._irreducible_maps(a, b, T.summands, A36) == want
 
 
 def _rotate(s, k, A):
@@ -413,11 +436,10 @@ def test_rotation_keyed_caches_match_uncached(n, ell):
 
 
 def test_cached_arrays_are_read_only():
-    s1, s2, s3 = Stalk(1, 0), Stalk(2, 0), Stalk(3, 0)
+    s1, s3 = Stalk(1, 0), Stalk(3, 0)
     HS, rad = cx._summand_hom(s1, s3, A36)
-    through = cx._through(s1, s2, s3, A36)
-    assert len(through) and len(rad)
-    arrays = [through, rad, HS.cycles, HS.boundaries, HS._br,
+    assert len(rad)
+    arrays = [rad, HS.cycles, HS.boundaries, HS._br,
               *cx._summand_complex(Arrow(1, 3), A36).diff.values()]
     for M in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -434,7 +456,7 @@ def test_cached_summand_complexes_stay_intact():
     transport.exchange_quiver("2tilt", A36)
     objs = transport.two_term_objects(A36)
     for T in objs:
-        transport.bfs_sequence(T)
+        bfs_sequence(T)
     summands = {s for T in objs for s in T.summands}
     hits = cx._summand_complex.cache_info().hits
     for s in summands:
@@ -443,8 +465,13 @@ def test_cached_summand_complexes_stay_intact():
     assert cx._summand_complex.cache_info().hits == hits + len(summands)
 
 
+# two summands in degree -1, so neither is an approximation target when the
+# stalk complex in degree 0 is mutated
+SPLIT_CONE = TwoTerm(A36, (Stalk(1, -1), Stalk(2, -1)))
+
+
 def test_multi_summand_cone_raises_on_every_call(monkeypatch):
-    monkeypatch.setattr(cx, "normalize", lambda C: TwoTerm(A36, (Stalk(1, 0), Stalk(2, 0))))
+    monkeypatch.setattr(cx, "normalize", lambda C: SPLIT_CONE)
     # drop replacements cached by earlier tests, so that the cone is rebuilt
     cx._mutate_summand.cache_clear()
     for _ in range(2):
@@ -453,7 +480,7 @@ def test_multi_summand_cone_raises_on_every_call(monkeypatch):
 
 
 def test_multi_summand_cone_names_the_callers_summand(monkeypatch):
-    monkeypatch.setattr(cx, "normalize", lambda C: TwoTerm(A36, (Stalk(1, 0), Stalk(2, 0))))
+    monkeypatch.setattr(cx, "normalize", lambda C: SPLIT_CONE)
     cx._mutate_summand.cache_clear()
     # Stalk(2, 0) beside Stalk(1, 0) and Stalk(3, 0) is mutated in the frame
     # rotated by two vertices, as Stalk(1, 0); the message names Stalk(2, 0)
@@ -481,7 +508,7 @@ def _poly(*coeffs):
 # and under python -O, start of the expected message)
 BROKEN_INVARIANTS = {
     "non-unit inverse": ("cx._pinv(_poly(0, 1), A36)", "_pinv"),
-    "inexact division": ("cx._pdivide(_poly(1), _poly(0, 1), A36)", "_pdivide"),
+    "inexact division": ("cx._pdivide(_poly(1), 1, _poly(1), A36)", "_pdivide"),
     "non-canonical degree": ("cx.normalize(cx.ProjComplex(A36, [(-1, 1), (0, 1)], "
                              "{(1, 0): _poly(0, 0, 0, 0, 0, 0, 1)}))",
                              "normalize: non-canonical"),
@@ -598,7 +625,8 @@ def _schur_update(diff, r, c, A, exact_divide):
     cols_j = [j for (rr, j) in diff if rr == r and j != c]
     for i in rows_i:
         if exact_divide:
-            lam = cx._pdivide(diff[(i, c)], prc, A)
+            s = int(np.nonzero(prc)[0][0])
+            lam = cx._pdivide(diff[(i, c)], s, cx._pinv(cx._pshift(prc, s), A), A)
         else:
             lam = cx._pmul(diff[(i, c)], cx._pinv(prc, A), A)
         for j in cols_j:
@@ -682,7 +710,7 @@ def test_homset_matches_loop_reference(n, ell):
                     f = got.to_map(z)
                     assert f.keys() == want.to_map(z).keys()
                     assert all(np.array_equal(f[st], p) for st, p in want.to_map(z).items())
-                    assert np.array_equal(got.from_map(f), z)
+                    assert np.array_equal(_from_map(got, f), z)
 
 
 def _mutation_cones(A, monkeypatch):
@@ -709,8 +737,11 @@ def test_normalize_matches_two_pass_reference_on_mutation_cones(n, ell, monkeypa
     results = [(cx.normalize(C), _normalize_two_pass(C))
                for C in _mutation_cones(Algebra(n, ell), monkeypatch)]
     assert all(got == want for got, want in results)
-    # both outcomes occur: a replacement summand, and a cone off the window
-    assert {len(got.summands) if got else None for got, _ in results} == {1, None}
+    # every outcome occurs: a cone off the window, the replacement summand
+    # alone, and the replacement beside target summands M'' that the
+    # universal approximation adds
+    sizes = {len(got.summands) if got else None for got, _ in results}
+    assert {None, 1} <= sizes and any(k > 1 for k in sizes - {None})
 
 
 def _complex(summands, diff):

@@ -13,9 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # module-level definitions and methods that no code in src/ refers to, kept on
 # purpose
 KEPT = {
-    "transport.bfs_sequence": "breadth-first route of the transport confluence check",
-    "transport.transport_along": "replays a breadth-first path for the confluence check",
-    "complexes.end_quiver": "End(T)-quiver check that psi(X) is the Brauer tree of End(phi(X))",
     "brauer.star": "the star tree that star_reduction returns, built directly",
 }
 
@@ -49,8 +46,8 @@ def test_no_uncalled_definitions():
 # every memo cache in src/, each named in README.md; a new cache is added here
 # and documented there on purpose
 MEMO_CACHES = [
-    "complexes._min_approx", "complexes._mutate_summand", "complexes._summand_complex",
-    "complexes._summand_hom", "complexes._summand_hom_dim", "complexes._through",
+    "complexes._mutate_summand", "complexes._summand_complex", "complexes._summand_hom",
+    "complexes._summand_hom_dim",
     "disc.enumerate_triangulations",
     "modcat._stable_hom_class", "modcat.closure_inds",
     "smscfg._mutate_point_in_frame", "smscfg._sms_mutate_cached", "smscfg._stable_table",

@@ -7,10 +7,11 @@ from smstilt import brauer, complexes as cx, gf, modcat, smscfg
 from smstilt.cli import main
 from smstilt.complexes import Arrow, Stalk, TwoTerm
 from smstilt.modcat import Algebra, Ind, _bar
-from smstilt.transport import (_anchor, _folded_label, _parent, bfs_sequence,
-                               canonical_sequence, exchange_quiver, fmap,
-                               fmap_tracked, transport_along, two_term_objects,
+from smstilt.transport import (_anchor, _folded_label, _parent, canonical_sequence,
+                               exchange_quiver, fmap, fmap_tracked, two_term_objects,
                                verify)
+
+from _transport_reference import bfs_sequence, transport_along
 
 A36 = Algebra(3, 6)
 
