@@ -42,10 +42,18 @@ class BrauerTree:
         and star, and a Kauer move of a valid tree is a valid tree."""
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
+        for what, items in (("vertex", self.vertices), ("edge label", [str(e[0]) for e in self.edges]),
+                            ("cyclic order at vertex", [c[0] for c in self.cyclic])):
+            if len(set(items)) < len(items):
+                twice = next(x for x in items if items.count(x) > 1)
+                raise ValueError(f"{what} {twice!r} is given twice")
         if self.exceptional not in self.vertices:
             raise ValueError("exceptional vertex missing from vertex list")
         if len(self.edges) != len(self.vertices) - 1:
             raise ValueError("edge count does not match a tree")
+        strays = sorted(set(self._cyc) - set(self.vertices))
+        if strays:
+            raise ValueError(f"cyclic order at {strays[0]}, which is not a vertex")
         incident: dict[int, set] = {v: set() for v in self.vertices}
         for lab, (u, v) in self.edges:
             if u == v or u not in incident or v not in incident:

@@ -18,7 +18,7 @@ mutated one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -250,29 +250,6 @@ def _frame_key(s: Summand, k: int, A: Algebra) -> tuple[int, int, int]:
     return (1, _bar(s.src + k, A.n), _bar(s.tgt + k, A.n))
 
 
-def _rotation_keyed(fn):
-    """Memoise fn(a, b, ..., A) once per rotation class of the pair (a, b), in
-    the frame that anchors a.  The cache is keyed on the `sort_key`s of a and
-    b in that frame, plain ints that hash fast, so a hit costs little more
-    than one lookup.  fn's value must be made of positions and polynomial
-    degrees only, so that it serves every frame.  `cache_info` and
-    `cache_clear` are the cache's; `__wrapped__` is fn, uncached."""
-
-    @lru_cache(maxsize=None)
-    def cached(key_a, key_b, *args):
-        a, b = (Arrow(x, y) if kind else Stalk(y, x) for kind, x, y in (key_a, key_b))
-        return fn(a, b, *args)
-
-    @wraps(fn)
-    def keyed(a, b, *args):
-        A = args[-1]
-        k = _anchor(a, A)
-        return cached(_frame_key(a, k, A), _frame_key(b, k, A), *args)
-
-    keyed.cache_info, keyed.cache_clear = cached.cache_info, cached.cache_clear
-    return keyed
-
-
 # -- homotopy-category Hom spaces --------------------------------------------
 
 def _hom_coords(T: ProjComplex, U: ProjComplex, k: int) -> list:
@@ -320,15 +297,12 @@ class HomSet:
         self.cycles = gf.nullspace(_hom_differential(T, U, 0))
         B = _hom_differential(T, U, -1).T
         self.boundaries = B[B.any(axis=1)]
-        self._br, self._bpiv = gf.rref(self.boundaries)
-        self.dim = self.cycles.shape[0] - len(self._bpiv)
+        self.dim = self.cycles.shape[0] - gf.rank(self.boundaries)
 
-    def basis(self) -> list[np.ndarray]:
-        """Cycle representatives spanning Hom_K, independent mod boundaries."""
-        return [self.cycles[k] for k in gf.independent_mod(self.boundaries, self.cycles)]
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        return gf.reduce_rows(self._br, self._bpiv, vec)
+    def basis(self) -> np.ndarray:
+        """Cycle representatives spanning Hom_K, independent mod boundaries,
+        one per row."""
+        return self.cycles[gf.independent_mod(self.boundaries, self.cycles)]
 
     def to_map(self, vec: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
         f: dict[tuple[int, int], np.ndarray] = {}
@@ -361,13 +335,7 @@ def hom_complex_dim(T: TwoTerm, U: TwoTerm, k: int) -> int:
         raise ValueError("complexes live over different algebras")
     if abs(k) >= 2:
         return 0
-    return sum(_summand_hom_dim(a, b, k, T.algebra) for a in T.summands for b in U.summands)
-
-
-@_rotation_keyed
-def _summand_hom_dim(a: Summand, b: Summand, k: int, A: Algebra) -> int:
-    """dim Hom_K(a, b[k]) for single summands; Hom_K is additive over summands."""
-    return HomSet(_summand_complex(a, A), shift(_summand_complex(b, A), k)).dim
+    return sum(_summand_hom(a, b, k, T.algebra)[0].dim for a in T.summands for b in U.summands)
 
 
 # -- silting / tilting --------------------------------------------------------
@@ -501,19 +469,29 @@ def _summand_complex(s: Summand, A: Algebra) -> ProjComplex:
     return C
 
 
-@_rotation_keyed
-def _summand_hom(a: Summand, b: Summand, A: Algebra) -> tuple[HomSet, np.ndarray]:
-    """Hom_K between two single-summand complexes, and coordinate rows in it,
-    reduced modulo the boundaries, of chain maps that form a basis.  For
-    a != b, as every caller has, each map is a non-isomorphism, so the rows
-    span the radical.  Both are built in the frame that anchors a; they are
-    positional, so they serve every rotation of (a, b).  Callers must not
-    mutate them."""
-    HS = HomSet(_summand_complex(a, A), _summand_complex(b, A))
-    rows = np.array([HS.reduce(z) for z in HS.basis()], dtype=np.int64)
-    for M in (HS.cycles, HS.boundaries, HS._br):
+def _summand_hom(a: Summand, b: Summand, k: int, A: Algebra) -> tuple[HomSet, np.ndarray]:
+    """Hom_K(a, b[k]) between two single-summand complexes, and coordinate
+    rows in it, reduced modulo the boundaries, of chain maps that form a
+    basis; Hom_K is additive over summands.  For k = 0 and a != b, as every
+    mutation call has, each map is a non-isomorphism, so the rows span the
+    radical.  Memoised once per rotation class of (a, b) by
+    `_summand_hom_in_frame`; callers must not mutate the answer."""
+    j = _anchor(a, A)
+    return _summand_hom_in_frame(_frame_key(a, j, A), _frame_key(b, j, A), k, A)
+
+
+@lru_cache(maxsize=None)
+def _summand_hom_in_frame(key_a, key_b, k: int, A: Algebra) -> tuple[HomSet, np.ndarray]:
+    """`_summand_hom` in the frame that anchors a, keyed on the `sort_key`s
+    of a and b there: plain ints that hash fast, computed without building
+    the rotated summands.  The answer is made of positions and polynomial
+    degrees only, which rotation keeps, so it serves every frame."""
+    a, b = (Arrow(x, y) if kind else Stalk(y, x) for kind, x, y in (key_a, key_b))
+    HS = HomSet(_summand_complex(a, A), shift(_summand_complex(b, A), k))
+    rows = gf.reduce_mod(HS.boundaries, HS.basis())[1]
+    for M in (HS.cycles, HS.boundaries):
         _frozen(M)
-    return HS, _frozen(rows.reshape(len(rows), len(HS.unknowns)))
+    return HS, _frozen(rows)
 
 
 @lru_cache(maxsize=None)
@@ -534,7 +512,7 @@ def _mutate_summand(s: Summand, targets: tuple, sign: str, A: Algebra) -> Summan
     left = sign == "minus"
     items = []
     for m in targets:
-        HS, rows = _summand_hom(*((s, m) if left else (m, s)), A)
+        HS, rows = _summand_hom(*((s, m) if left else (m, s)), 0, A)
         items += [(m, HS.to_map(z)) for z in rows]
     Mc, offs = direct_sum(A, [_summand_complex(m, A) for m, _ in items])
     gmap: dict[tuple[int, int], np.ndarray] = {}
@@ -589,7 +567,7 @@ def _mutate_tracked(T: TwoTerm, orbit: frozenset, sign: str):
     for s in sorted(orbit, key=lambda x: x.sort_key()):
         k = _anchor(s, A)
         targets = tuple(sorted((_rotate(m, k, A) for m in rest
-                                if len(_summand_hom(*((s, m) if left else (m, s)), A)[1])),
+                                if len(_summand_hom(*((s, m) if left else (m, s)), 0, A)[1])),
                                key=lambda x: x.sort_key()))
         try:
             new = _mutate_summand(_rotate(s, k, A), targets, sign, A)

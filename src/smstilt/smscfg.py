@@ -153,18 +153,12 @@ def sms_mutate_tracked(C: Configuration, K, sign: str):
     Members of K are (co)syzygy-shifted; every other point is replaced by
     the cone over the minimal approximation into the extension closure of
     K, following the triangle Omega X -> X' -> Y -> X.  Results are
-    memoised per process, per point per rotation class (`_mutate_point`) and
-    per configuration on (C, K, sign); the returned map is a fresh dict.
+    memoised per process, per point per rotation class (`_mutate_point`).
     """
-    result, mapping = _sms_mutate_cached(C, frozenset(tuple(q) for q in K), sign)
-    return result, dict(mapping)
-
-
-@lru_cache(maxsize=None)
-def _sms_mutate_cached(C: Configuration, Kset: frozenset, sign: str):
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be minus or plus, got {sign!r}")
     A = C.algebra
+    Kset = frozenset(tuple(q) for q in K)
     if not Kset <= set(C.points):
         raise ValueError("mutation subset is not contained in the configuration")
     if {nu_point(q, A) for q in Kset} != Kset:
@@ -174,7 +168,7 @@ def _sms_mutate_cached(C: Configuration, Kset: frozenset, sign: str):
     result = Configuration(A, tuple(mapping.values()))
     if not is_configuration(result, A):
         raise RuntimeError("mutation produced an invalid configuration")
-    return result, tuple(mapping.items())
+    return result, mapping
 
 
 def _mutate_point(pt: Point, frames: tuple, sign: str, A: Algebra) -> Point:

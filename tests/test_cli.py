@@ -234,6 +234,23 @@ MALFORMED_ARGS = {
     "bad edge ends": (["kauer", "--edge", "1", "--sign", "minus"],
                       dict(STAR, edges=[{"label": 1, "ends": [0]}, {"label": 2, "ends": [0, 2]}]),
                       "edges[0].ends: expected a pair of ints"),
+    "repeated edge label": (["kauer", "--edge", "a", "--sign", "minus"],
+                            {"m": 1, "exceptional": 0, "vertices": [0, 1, 2],
+                             "edges": [{"label": "a", "ends": [0, 1]}, {"label": "a", "ends": [1, 2]}],
+                             "cyclic": {"0": ["a"], "1": ["a"], "2": ["a"]}},
+                            "edge label 'a' is given twice"),
+    "edge labels 1 and '1'": (["kauer", "--edge", "1", "--sign", "minus"],
+                              dict(STAR, edges=[{"label": 1, "ends": [0, 1]}, {"label": "1", "ends": [0, 2]}],
+                                   cyclic={"0": [1, "1"], "1": [1], "2": ["1"]}),
+                              "edge label '1' is given twice"),
+    "cyclic order at a non-vertex": (["kauer", "--edge", "1", "--sign", "minus"],
+                                     dict(STAR, cyclic=dict(STAR["cyclic"], **{"7": []})),
+                                     "cyclic order at 7, which is not a vertex"),
+    "two cyclic orders at a vertex": (["kauer", "--edge", "1", "--sign", "minus"],
+                                      dict(STAR, cyclic=dict(STAR["cyclic"], **{"01": [1]})),
+                                      "cyclic order at vertex 1 is given twice"),
+    "repeated vertex": (["kauer", "--edge", "1", "--sign", "minus"],
+                        dict(STAR, vertices=[0, 1, 1, 2]), "vertex 1 is given twice"),
 }
 
 

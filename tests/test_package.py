@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,11 +47,10 @@ def test_no_uncalled_definitions():
 # every memo cache in src/, each named in README.md; a new cache is added here
 # and documented there on purpose
 MEMO_CACHES = [
-    "complexes._mutate_summand", "complexes._summand_complex", "complexes._summand_hom",
-    "complexes._summand_hom_dim",
+    "complexes._mutate_summand", "complexes._summand_complex", "complexes._summand_hom_in_frame",
     "disc.enumerate_triangulations",
     "modcat._stable_hom_class", "modcat.closure_inds",
-    "smscfg._mutate_point_in_frame", "smscfg._sms_mutate_cached", "smscfg._stable_table",
+    "smscfg._mutate_point_in_frame", "smscfg._stable_table",
     "smscfg.enumerate_configurations",
     "transport._fmap_cached", "transport.two_term_objects",
 ]
@@ -58,7 +58,7 @@ MEMO_CACHES = [
 
 def _memo_caches():
     """module.name of every decorated module-level function; each decorator
-    on a function in src/ (lru_cache, complexes._rotation_keyed) memoises."""
+    on a function in src/ is an lru_cache."""
     return sorted(f"{path.stem}.{node.name}" for path in SRC.glob("*.py")
                   for node in ast.parse(path.read_text()).body
                   if isinstance(node, ast.FunctionDef) and node.decorator_list)
@@ -89,6 +89,8 @@ def test_memo_caches_expose_cache_info_and_start_cold():
     assert names == MEMO_CACHES
     readme = (ROOT / "README.md").read_text()
     assert [q for q in names if f"`{q.split('.')[1]}`" not in readme] == []
+    stated = re.findall(r"There\s+are\s+(\d+)\s+memo\s+caches", readme)
+    assert stated == [str(len(MEMO_CACHES))]
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-c", COLD_CACHE_SCRIPT, json.dumps(names)],
                           env=env, capture_output=True, text=True, timeout=60)

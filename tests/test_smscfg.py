@@ -196,7 +196,7 @@ def test_mutation_cache_safety():
     rep.clear()
     for K in (list(orbit), set(orbit), frozenset(orbit), [list(q) for q in orbit]):
         D2, rep2 = sms_mutate_tracked(C, K, "minus")
-        assert D2 is D and rep2 == want
+        assert D2 == D and rep2 == want
     A42 = Algebra(4, 2)
     for _ in range(2):  # failures are not cached
         with pytest.raises(ValueError):
