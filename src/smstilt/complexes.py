@@ -340,44 +340,11 @@ def hom_complex_dim(T: TwoTerm, U: TwoTerm, k: int) -> int:
 
 # -- silting / tilting --------------------------------------------------------
 
-def _int_det(M: list[list[int]]) -> int:
-    """Fraction-free Gaussian elimination (Bareiss)."""
-    M = [row[:] for row in M]
-    n = len(M)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
-def summand_class(s: Summand, A: Algebra) -> list[int]:
-    v = [0] * A.n
-    if isinstance(s, Stalk):
-        v[s.idx - 1] = 1 if s.deg == 0 else -1
-    else:
-        v[s.tgt - 1] += 1
-        v[s.src - 1] -= 1
-    return v
-
-
 def is_silting(T: TwoTerm) -> bool:
-    A = T.algebra
-    if len(T.summands) != A.n or len(set(T.summands)) != A.n:
-        return False
-    if hom_complex_dim(T, T, 1) != 0:
-        return False
-    return abs(_int_det([summand_class(s, A) for s in T.summands])) == 1
+    """n distinct summands and Hom_K(T, T[1]) = 0: a two-term presilting
+    complex with n summands is silting (Adachi-Iyama-Reiten)."""
+    return (len(set(T.summands)) == len(T.summands) == T.algebra.n
+            and hom_complex_dim(T, T, 1) == 0)
 
 
 def nu_summand(s: Summand, A: Algebra) -> Summand:
@@ -389,8 +356,9 @@ def nu_complex(T: TwoTerm) -> TwoTerm:
 
 
 def is_tilting(T: TwoTerm) -> bool:
-    return (is_silting(T) and hom_complex_dim(T, T, -1) == 0
-            and nu_complex(T) == T)
+    """Silting and nu-stable.  Serre duality Hom_K(X, Y) = D Hom_K(Y, nu X)
+    makes Hom_K(T, T[-1]) dual to Hom_K(T, T[1]) once nu T = T."""
+    return is_silting(T) and nu_complex(T) == T
 
 
 def nu_orbits(T: TwoTerm) -> list[frozenset]:

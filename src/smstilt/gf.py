@@ -113,8 +113,8 @@ def rref(M, p: int = 2) -> tuple[np.ndarray, list[int]]:
 
 def rank(M, p: int = 2) -> int:
     M = normalize(M, p)
-    if M.size == 0:
-        return 0
+    if len(M) < 2:
+        return int(M.any())
     if p == 2:
         return len(_basis2(_pack2(M)))
     return len(rref(M, p)[1])

@@ -296,34 +296,47 @@ def _proj_cover_sum(N: ModSum, A: Algebra) -> tuple[ModSum, np.ndarray]:
     return Ps, pi
 
 
+def _composites(Ms: ModSum, Ns: ModSum, A: Algebra) -> np.ndarray:
+    """The integer matrices pi . u, one flattened row per basis map u of
+    Hom(M, P(N)), with pi: P(N) -> N the projective cover."""
+    Ps, pi = _proj_cover_sum(Ns, A)
+    rows = [(pi @ u).reshape(-1) for u in hom_basis(Ms, Ps, A)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), sum_dim(Ns) * sum_dim(Ms))
+
+
 def factor_rows(M, N, A: Algebra, p: int = 2) -> np.ndarray:
     """Rows spanning the maps M -> N that factor through a projective.
 
     Every such map factors through the projective cover of N, so the span
     of pi . u over u in Hom(M, P(N)) is the whole subspace.
     """
-    Ms, Ns = as_sum(M), as_sum(N)
-    Ps, pi = _proj_cover_sum(Ns, A)
-    rows = [((pi @ u) % p).reshape(-1) for u in hom_basis(Ms, Ps, A)]
-    if not rows:
-        return np.zeros((0, sum_dim(Ns) * sum_dim(Ms)), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+    return _composites(as_sum(M), as_sum(N), A) % p
 
 
-# Stable Hom is cached per rotation class of the pair.  For M = Ind(i, l),
+# Stable Hom is computed per rotation class of the pair.  For M = Ind(i, l),
 # N = Ind(j, r) and d = (j - i) mod n, `overlap_lengths` reads only d, the
 # cover P(N) has socle difference (d - r + 1 + ell) mod n from M, and
-# `_hom_matrix` reads lengths only, so `hom_dim` and `factor_rows` run one
-# matrix computation for all pairs of a class (l, r, d).  As tau = sigma, the
-# functors suite's tau check compares each class with itself; it catches a tau
-# that is not a rotation.
+# `_hom_matrix` reads lengths only, so `hom_dim` and the composites that span
+# the maps through P(N) are the same for all pairs of a class (l, r, d).  They
+# are integer matrices, so one cached core serves every field, and only the
+# rank over GF(p) is left to `_stable_hom_class`.  As tau = sigma, the functors
+# suite's tau check compares each class with itself; it catches a tau that is
+# not a rotation.
 @lru_cache(maxsize=None)
-def _stable_hom_class(l: int, r: int, d: int, A: Algebra, p: int) -> int:
+def _stable_hom_core(l: int, r: int, d: int, A: Algebra) -> tuple[int, np.ndarray]:
+    """(dim Hom(M, N), the read-only `_composites(M, N)`) for M = Ind(1, l)
+    and N = Ind(1 + d, r); no composites are built where Hom(M, N) = 0."""
     M, N = Ind(1, l), Ind(_bar(1 + d, A.n), r)
     full = hom_dim(M, N, A)
-    if full == 0:
-        return 0
-    return full - gf.rank(factor_rows(M, N, A, p), p)
+    rows = _composites((M,), (N,), A) if full else np.zeros((0, l * r), dtype=np.int64)
+    rows.flags.writeable = False
+    return full, rows
+
+
+def _stable_hom_class(l: int, r: int, d: int, A: Algebra, p: int) -> int:
+    """dim of stable Hom(Ind(1, l), Ind(1 + d, r)) over GF(p)."""
+    full, rows = _stable_hom_core(l, r, d, A)
+    return full - gf.rank(rows, p) if len(rows) else full
 
 
 def stable_hom_dim(M, N, A: Algebra, p: int = 2) -> int:

@@ -61,10 +61,15 @@ def _stable_table(A: Algebra, p: int = 2):
     """(idx, table, brick, out, into): the row of each point of all_points(A),
     the stable Hom dimensions between them, and per point a its brick flag
     and two masks, bit k for all_points(A)[k]: `out`, the b with stable
-    Hom(a, b) != 0, and `into`, the v with stable Hom(v, a) != 0 (a covers v)."""
+    Hom(a, b) != 0, and `into`, the v with stable Hom(v, a) != 0 (a covers v).
+
+    Stable Hom((x, y), (u, v)) depends only on the rotation class
+    (y, v, (u - x) mod n), so the table is read off one grid of classes."""
     pts = all_points(A)
     idx = {q: k for k, q in enumerate(pts)}
-    table = [[modcat.stable_hom_dim(ind_of(a), ind_of(b), A, p) for b in pts] for a in pts]
+    grid = {(l, r, d): modcat._stable_hom_class(l, r, d, A, p)
+            for l in range(1, A.ell + 1) for r in range(1, A.ell + 1) for d in range(A.n)}
+    table = [[grid[y, v, (u - x) % A.n] for u, v in pts] for x, y in pts]
     rng = range(len(pts))
     return (idx, table, [table[a][a] == 1 for a in rng],
             [sum(1 << b for b in rng if table[a][b]) for a in rng],

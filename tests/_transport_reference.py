@@ -1,14 +1,25 @@
 """Test-local reference transport for the confluence checks: a breadth-first
 mutation path to each complex, and its replay on the sms side.  `fmap` walks
 the canonical-sequence tree instead, so the two routes share only the single
-mutations on each side."""
+mutations on each side.  `all_summands` lists the indecomposable two-term
+complexes, for the brute-force checks over their n-subsets."""
 
+import itertools
 from collections import deque
 
 from smstilt import complexes as cx, disc, smscfg
-from smstilt.complexes import TwoTerm
+from smstilt.complexes import Arrow, Stalk, TwoTerm
 from smstilt.smscfg import Configuration
 from smstilt.transport import _anchor
+
+
+def all_summands(A) -> list:
+    """Every stalk and arrow summand of a two-term complex over A."""
+    out = [Stalk(i, d) for i in range(1, A.n + 1) for d in (0, -1)]
+    for a, b in itertools.product(range(1, A.n + 1), repeat=2):
+        if cx._min_pos_degree(a, b, A) <= A.ell:
+            out.append(Arrow(a, b))
+    return out
 
 
 def bfs_sequence(T: TwoTerm) -> list[frozenset]:

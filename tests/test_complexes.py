@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ from smstilt.complexes import (Arrow, Stalk, TwoTerm, hom_complex_dim,
                                phi, phi_inv, two_term_mutate, twoterm_from_json)
 from smstilt.modcat import Algebra
 
-from _transport_reference import bfs_sequence
+from _transport_reference import all_summands, bfs_sequence
 
 A36 = Algebra(3, 6)
 
@@ -120,6 +121,65 @@ def test_silting_tilting_predicates():
         for X in disc.enumerate_triangulations(e):
             for sign in ("minus", "plus"):
                 assert is_tilting(phi(X, sign, A))
+
+
+def _int_det(M):
+    """Integer determinant by fraction-free Gaussian elimination (Bareiss)."""
+    M = [row[:] for row in M]
+    n = len(M)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
+def _summand_class(s, A):
+    """The class of a summand in the Grothendieck group K_0(K^b(proj A))."""
+    v = [0] * A.n
+    if isinstance(s, Stalk):
+        v[s.idx - 1] = 1 if s.deg == 0 else -1
+    else:
+        v[s.tgt - 1] += 1
+        v[s.src - 1] -= 1
+    return v
+
+
+def _silting_tilting_reference(T):
+    """The predicates before their reduction to the theory: silting also
+    asked for the summand classes to form a basis of K_0 (determinant +-1),
+    and tilting also for Hom_K(T, T[-1]) = 0."""
+    A = T.algebra
+    silting = (len(T.summands) == len(set(T.summands)) == A.n
+               and hom_complex_dim(T, T, 1) == 0
+               and abs(_int_det([_summand_class(s, A) for s in T.summands])) == 1)
+    return silting, (silting and hom_complex_dim(T, T, -1) == 0 and nu_complex(T) == T)
+
+
+@pytest.mark.parametrize("n, ell", [(2, 4), (3, 3), (3, 6), (4, 2), (4, 4), (3, 2)])
+def test_silting_tilting_match_the_determinant_reference(n, ell):
+    # Adachi-Iyama-Reiten: n distinct rigid summands already make T silting;
+    # Serre duality: a nu-stable silting T has Hom_K(T, T[-1]) = 0
+    A = Algebra(n, ell)
+    kinds = set()
+    for summands in itertools.combinations(all_summands(A), n):
+        T = TwoTerm(A, summands)
+        want = _silting_tilting_reference(T)
+        assert (is_silting(T), is_tilting(T)) == want, T
+        kinds.add(want)
+    assert (True, True) in kinds and (False, False) in kinds
+    # where ell < n some silting complexes are not nu-stable
+    assert ((True, False) in kinds) == ((n, ell) in ((3, 2), (4, 2)))
 
 
 def test_tilting_with_unfolding():

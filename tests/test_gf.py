@@ -46,6 +46,21 @@ def test_gf2_kernel_matches_dense_elimination(monkeypatch):
         assert piv == piv0 and W.shape == W0.shape and W.tobytes() == W0.tobytes()
 
 
+def test_rank_one_row_path_matches_dense_elimination():
+    # a single row has rank 1 exactly when it is nonzero mod p; checked against
+    # the dense elimination on random rows, rows that vanish mod p, rows with
+    # no columns and no rows at all, with entries outside 0..p-1 and as 1-d input
+    rng = np.random.default_rng(20140601)
+    for p in (3, 5, 2):
+        for cols in (0, 1, 2, 5, 9, 64, 65):
+            assert gf.rank(np.zeros((0, cols), dtype=np.int64), p) == 0
+            rows = [np.zeros((1, cols), dtype=np.int64), p * rng.integers(-3, 4, (1, cols))]
+            rows += [rng.integers(-2 * p, 2 * p, (1, cols)) for _ in range(50)]
+            for M in rows:
+                want = len(gf._rref_dense(M, p)[1])
+                assert gf.rank(M, p) == want and gf.rank(M[0].tolist(), p) == want, (p, M)
+
+
 def test_independent_mod_matches_reduce_loop():
     # the quotient-basis helper against the loop it replaced: reduce each
     # candidate modulo the span, keep it unless it lies in the span of the

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from smstilt import gf, modcat
-from smstilt.modcat import (Algebra, Ind, ModMap, _core_middle_terms,
+from smstilt.modcat import (Algebra, Ind, ModMap, _bar, _core_middle_terms,
                             _proj_cover_sum, closure_inds, cone_of_stable_map,
                             hom_basis, hom_dim,
                             min_left_approx, min_right_approx, nu, omega,
@@ -138,6 +138,18 @@ def test_stable_hom_class_core_matches_per_pair(n, ell, p):
     # `stable_reps` returns a basis of the same size, so `_min_approx` may
     # skip it exactly where the core reads 0
     A = Algebra(n, ell)
+    # the core keeps integer composites, field-free; reduced mod p they are
+    # factor_rows over GF(p).  A class with no Hom keeps no rows, and there
+    # every map through a projective is zero
+    for l, r, d in product(range(1, A.loewy + 1), range(1, A.loewy + 1), range(n)):
+        M, N = Ind(1, l), Ind(_bar(1 + d, n), r)
+        full, rows = modcat._stable_hom_core(l, r, d, A)
+        want = modcat.factor_rows(M, N, A, p)
+        assert full == hom_dim(M, N, A) and not rows.flags.writeable
+        if full:
+            assert rows.dtype == want.dtype and np.array_equal(rows % p, want), (l, r, d)
+        else:
+            assert rows.shape == (0, l * r) and not want.any(), (l, r, d)
     inds = modcat.all_inds(A)
     for M in inds:
         for N in inds:

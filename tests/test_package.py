@@ -49,7 +49,7 @@ def test_no_uncalled_definitions():
 MEMO_CACHES = [
     "complexes._mutate_summand", "complexes._summand_complex", "complexes._summand_hom_in_frame",
     "disc.enumerate_triangulations",
-    "modcat._stable_hom_class", "modcat.closure_inds",
+    "modcat._stable_hom_core", "modcat.closure_inds",
     "smscfg._mutate_point_in_frame", "smscfg._stable_table",
     "smscfg.enumerate_configurations",
     "transport._fmap_cached", "transport.two_term_objects",

@@ -27,6 +27,19 @@ def _stable_homs(A, p=2):
     return {(a, b): modcat.stable_hom_dim(Ind(*a), Ind(*b), A, p) for a in pts for b in pts}
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (6, 9)])
+def test_stable_table_grid_matches_per_pair(n, ell, p):
+    # the table read off one grid of rotation classes, against one
+    # stable_hom_dim call per pair of points
+    A = Algebra(n, ell)
+    pts = smscfg.all_points(A)
+    hom = _stable_homs(A, p)
+    idx, table = smscfg._stable_table(A, p)[:2]
+    assert idx == {q: k for k, q in enumerate(pts)}
+    assert table == [[hom[a, b] for b in pts] for a in pts]
+
+
 def _enumerate_reference(A):
     """Reference: the list-based search with pairwise lookups that the mask
     search replaced; same candidate order and pruning rule."""

@@ -11,7 +11,7 @@ from smstilt.transport import (_anchor, _folded_label, _parent, canonical_sequen
                                exchange_quiver, fmap, fmap_tracked, two_term_objects,
                                verify)
 
-from _transport_reference import bfs_sequence, transport_along
+from _transport_reference import all_summands, bfs_sequence, transport_along
 
 A36 = Algebra(3, 6)
 
@@ -201,20 +201,12 @@ def test_built_complexes_are_tilting(n, ell):
     assert all(cx.is_tilting(T) for T in two_term_objects(Algebra(n, ell)))
 
 
-def _summands(A):
-    out = [Stalk(i, d) for i in range(1, A.n + 1) for d in (0, -1)]
-    for a, b in itertools.product(range(1, A.n + 1), repeat=2):
-        if cx._min_pos_degree(a, b, A) <= A.ell:
-            out.append(Arrow(a, b))
-    return out
-
-
 @pytest.mark.parametrize("n, ell", [(3, 6), (3, 3), (4, 2)])
 def test_fmap_domain_is_the_tilting_complexes(n, ell):
     # the combinatorial check that fmap runs instead of is_tilting refuses
     # exactly the non-tilting complexes among all basic ones with n summands
     A = Algebra(n, ell)
-    for summands in itertools.combinations(_summands(A), A.n):
+    for summands in itertools.combinations(all_summands(A), A.n):
         T = TwoTerm(A, summands)
         if cx.is_tilting(T):
             fmap_tracked(T)
