@@ -230,10 +230,19 @@ def normalize(C: ProjComplex) -> TwoTerm | None:
 
 def _rotate(s: Summand, k: int, A: Algebra) -> Summand:
     """sigma^k(s) for the rotation sigma: i -> i + 1 of the quiver; it keeps
-    every polynomial degree, and every position in a one-summand complex."""
+    every polynomial degree, and every position in a one-summand complex.
+    s itself when n divides k, as nu = sigma^-ell is on A_e^{em}."""
+    if not k % A.n:
+        return s
     if isinstance(s, Stalk):
         return Stalk(_bar(s.idx + k, A.n), s.deg)
     return Arrow(_bar(s.src + k, A.n), _bar(s.tgt + k, A.n))
+
+
+def _rotate_complex(T: TwoTerm, k: int) -> TwoTerm:
+    """sigma^k T, summand by summand; T itself when n divides k."""
+    A = T.algebra
+    return TwoTerm(A, tuple(_rotate(s, k, A) for s in T.summands)) if k % A.n else T
 
 
 def _anchor(s: Summand, A: Algebra) -> int:
@@ -294,10 +303,13 @@ class HomSet:
     def __init__(self, T: ProjComplex, U: ProjComplex):
         self.A = T.algebra
         self.unknowns = _hom_coords(T, U, 0)
-        self.cycles = gf.nullspace(_hom_differential(T, U, 0))
-        B = _hom_differential(T, U, -1).T
-        self.boundaries = B[B.any(axis=1)]
-        self.dim = self.cycles.shape[0] - gf.rank(self.boundaries)
+        if self.unknowns:
+            self.cycles = gf.nullspace(_hom_differential(T, U, 0))
+            B = _hom_differential(T, U, -1).T
+            self.boundaries = B[B.any(axis=1)]
+        else:  # no degree-0 map, so nothing to eliminate
+            self.cycles = self.boundaries = np.zeros((0, 0), dtype=np.int64)
+        self.dim = self.cycles.shape[0] - gf.rank(self.boundaries) if self.unknowns else 0
 
     def basis(self) -> np.ndarray:
         """Cycle representatives spanning Hom_K, independent mod boundaries,
@@ -352,7 +364,7 @@ def nu_summand(s: Summand, A: Algebra) -> Summand:
 
 
 def nu_complex(T: TwoTerm) -> TwoTerm:
-    return TwoTerm(T.algebra, tuple(nu_summand(s, T.algebra) for s in T.summands))
+    return _rotate_complex(T, -T.algebra.ell)
 
 
 def is_tilting(T: TwoTerm) -> bool:

@@ -140,17 +140,31 @@ def two_term_objects(A: Algebra) -> tuple[TwoTerm, ...]:
 
 def exchange_quiver(kind: str, A: Algebra) -> ExchangeQuiver:
     if kind == "2tilt":
+        # Mutation commutes with the rotation sigma: objs[i] = sigma^k objs[r] is
+        # mutated at r, at sigma^-k of its orbit, and the target rotated by sigma^k.
         objs = two_term_objects(A)
         index = {T: i for i, T in enumerate(objs)}
-        arrows = []
+        frame, ring, target, arrows = {}, {}, {}, []
+        for r, T in enumerate(objs):
+            if r not in frame:
+                ring[r] = [index.get(complexes._rotate_complex(T, m)) for m in range(A.n)]
+                if None in ring[r]:
+                    raise RuntimeError("rotation left the two-term tilting class")
+                for m, i in enumerate(ring[r]):
+                    frame.setdefault(i, (r, m))
         for i, T in enumerate(objs):
+            r, k = frame[i]
             for orbit in complexes.nu_orbits(T):
-                R = complexes._mutate_tracked(T, orbit, "minus")[0]
-                if R is None:
-                    continue
-                if R not in index:
-                    raise RuntimeError("mutation left the two-term tilting class")
-                arrows.append((i, index[R], tuple(sorted(orbit, key=lambda s: s.sort_key()))))
+                at = (r, frozenset(complexes._rotate(s, -k, A) for s in orbit))
+                if at not in target:
+                    R = complexes._mutate_tracked(objs[r], at[1], "minus")[0]
+                    if R is not None and R not in index:
+                        raise RuntimeError("mutation left the two-term tilting class")
+                    target[at] = None if R is None else frame[index[R]]
+                if target[at] is not None:
+                    t, m = target[at]
+                    arrows.append((i, ring[t][(m + k) % A.n],
+                                   tuple(sorted(orbit, key=lambda s: s.sort_key()))))
         return ExchangeQuiver(kind, objs, tuple(arrows))
     if kind == "sms":
         objs = smscfg.enumerate_configurations(A)

@@ -2,7 +2,9 @@
 mutation path to each complex, and its replay on the sms side.  `fmap` walks
 the canonical-sequence tree instead, so the two routes share only the single
 mutations on each side.  `all_summands` lists the indecomposable two-term
-complexes, for the brute-force checks over their n-subsets."""
+complexes, for the brute-force checks over their n-subsets.
+`exchange_arrows` mutates every complex at every orbit, the reference for
+`exchange_quiver`, which mutates one complex per rotation class."""
 
 import itertools
 from collections import deque
@@ -10,7 +12,7 @@ from collections import deque
 from smstilt import complexes as cx, disc, smscfg
 from smstilt.complexes import Arrow, Stalk, TwoTerm
 from smstilt.smscfg import Configuration
-from smstilt.transport import _anchor
+from smstilt.transport import _anchor, two_term_objects
 
 
 def all_summands(A) -> list:
@@ -20,6 +22,23 @@ def all_summands(A) -> list:
         if cx._min_pos_degree(a, b, A) <= A.ell:
             out.append(Arrow(a, b))
     return out
+
+
+def exchange_arrows(A) -> tuple:
+    """The arrows of the 2-tilt exchange quiver: each object mutated at each
+    of its Nakayama orbits, with no rotation."""
+    objs = two_term_objects(A)
+    index = {T: i for i, T in enumerate(objs)}
+    arrows = []
+    for i, T in enumerate(objs):
+        for orbit in cx.nu_orbits(T):
+            R = cx._mutate_tracked(T, orbit, "minus")[0]
+            if R is None:
+                continue
+            if R not in index:
+                raise RuntimeError("mutation left the two-term tilting class")
+            arrows.append((i, index[R], tuple(sorted(orbit, key=lambda s: s.sort_key()))))
+    return tuple(arrows)
 
 
 def bfs_sequence(T: TwoTerm) -> list[frozenset]:

@@ -1,9 +1,11 @@
+import inspect
 import itertools
+import textwrap
 
 import numpy as np
 import pytest
 
-from smstilt import brauer, complexes as cx, gf, modcat, smscfg
+from smstilt import brauer, complexes as cx, gf, modcat, smscfg, transport
 from smstilt.cli import main
 from smstilt.complexes import Arrow, Stalk, TwoTerm
 from smstilt.modcat import Algebra, Ind, _bar
@@ -11,7 +13,7 @@ from smstilt.transport import (_anchor, _folded_label, _parent, canonical_sequen
                                exchange_quiver, fmap, fmap_tracked, two_term_objects,
                                verify)
 
-from _transport_reference import all_summands, bfs_sequence, transport_along
+from _transport_reference import all_summands, bfs_sequence, exchange_arrows, transport_along
 
 A36 = Algebra(3, 6)
 
@@ -267,6 +269,39 @@ def test_exchange_quivers():
     assert len(Q3.objects) == 5
     with pytest.raises(ValueError):
         exchange_quiver("nope", A36)
+
+
+QUIVER_ALGEBRAS = [(2, 4), (3, 3), (3, 6), (4, 2), (4, 4), (4, 6), (6, 4), (6, 9), (4, 8),
+                   (5, 10)]
+
+
+@pytest.mark.parametrize("n, ell", QUIVER_ALGEBRAS)
+def test_exchange_quiver_matches_per_object_reference(n, ell):
+    A = Algebra(n, ell)
+    assert exchange_quiver("2tilt", A).arrows == exchange_arrows(A)
+
+
+def test_exchange_quiver_mutates_once_per_rotation_class(monkeypatch):
+    # 252 objects of 5 orbits each, but only the orbits of one representative
+    # per rotation class are mutated
+    A, calls, real = Algebra(5, 10), [], cx._mutate_tracked
+    monkeypatch.setattr(cx, "_mutate_tracked", lambda *args: calls.append(args) or real(*args))
+    exchange_quiver("2tilt", A)
+    assert len(two_term_objects(A)) == 252 and len(calls) <= 260
+
+
+def test_exchange_quiver_reference_catches_a_reversed_rotation():
+    # exchange_quiver rebuilt with each arrow read off by sigma^-k in place
+    # of sigma^k.  A tilting complex is fixed by sigma^e, e = gcd(n, ell), so
+    # the fault shows exactly where e > 2
+    src = textwrap.dedent(inspect.getsource(exchange_quiver))
+    assert src.count("(m + k) % A.n") == 1
+    scope = dict(vars(transport))
+    exec(src.replace("(m + k) % A.n", "(m - k) % A.n"), scope)
+    wrong = [(n, ell) for n, ell in QUIVER_ALGEBRAS
+             if scope["exchange_quiver"]("2tilt", Algebra(n, ell)).arrows
+             != exchange_arrows(Algebra(n, ell))]
+    assert wrong == [(n, ell) for n, ell in QUIVER_ALGEBRAS if Algebra(n, ell).e > 2]
 
 
 def test_verify_suites_pass():
