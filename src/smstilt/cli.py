@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
 
 from . import brauer, complexes, disc, smscfg, transport
 from .modcat import Algebra, _json_pairs
@@ -224,9 +223,7 @@ def cmd_verify(args) -> int:
     return 0 if report["status"] == "pass" else 1
 
 
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """Built once per process: argparse looks each help string up via gettext."""
     ap = argparse.ArgumentParser(
         prog="smstilt",
         description="Triangulations, Brauer trees, two-term tilting complexes and "

@@ -303,13 +303,10 @@ class HomSet:
     def __init__(self, T: ProjComplex, U: ProjComplex):
         self.A = T.algebra
         self.unknowns = _hom_coords(T, U, 0)
-        if self.unknowns:
-            self.cycles = gf.nullspace(_hom_differential(T, U, 0))
-            B = _hom_differential(T, U, -1).T
-            self.boundaries = B[B.any(axis=1)]
-        else:  # no degree-0 map, so nothing to eliminate
-            self.cycles = self.boundaries = np.zeros((0, 0), dtype=np.int64)
-        self.dim = self.cycles.shape[0] - gf.rank(self.boundaries) if self.unknowns else 0
+        self.cycles = gf.nullspace(_hom_differential(T, U, 0))
+        B = _hom_differential(T, U, -1).T
+        self.boundaries = B[B.any(axis=1)]
+        self.dim = self.cycles.shape[0] - gf.rank(self.boundaries)
 
     def basis(self) -> np.ndarray:
         """Cycle representatives spanning Hom_K, independent mod boundaries,

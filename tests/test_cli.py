@@ -3,7 +3,7 @@ import json
 import pytest
 
 from smstilt import transport
-from smstilt.cli import build_parser, main
+from smstilt.cli import main
 
 
 def run(capsys, *argv):
@@ -15,15 +15,6 @@ def run(capsys, *argv):
 def test_enumerate_triangulations_count(capsys):
     code, out, _ = run(capsys, "enumerate-triangulations", "--e", "3", "--count")
     assert code == 0 and out.strip() == "10"
-
-
-def test_parser_is_built_once_and_reused(capsys):
-    assert build_parser() is build_parser()
-    for argv in (("verify", "--suite", "counts", "--n", "3", "--ell", "6", "--json"),
-                 ("enumerate-triangulations", "--e", "3", "--count")) * 2:
-        assert run(capsys, *argv)[0] == 0
-    args = build_parser().parse_args(["verify", "--suite", "counts", "--n", "2", "--ell", "4"])
-    assert (args.n, args.ell, args.threads, args.json) == (2, 4, 1, False)
 
 
 def test_enumerate_json_deterministic(capsys):

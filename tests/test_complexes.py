@@ -787,32 +787,6 @@ def test_homset_matches_loop_reference(n, ell):
                     assert np.array_equal(_from_map(got, f), z)
 
 
-def _general_homset(T, U):
-    """dim, cycles and basis of Hom_K(T, U) through the Hom-complex
-    elimination, also where there is no degree-0 coordinate."""
-    cycles = gf.nullspace(cx._hom_differential(T, U, 0))
-    B = cx._hom_differential(T, U, -1).T
-    boundaries = B[B.any(axis=1)]
-    return (cycles.shape[0] - gf.rank(boundaries), cycles,
-            cycles[gf.independent_mod(boundaries, cycles)])
-
-
-@pytest.mark.parametrize("n, ell", [(3, 6), (6, 9)])
-def test_homset_without_coordinates_matches_general_path(n, ell):
-    A = Algebra(n, ell)
-    empty = 0
-    for a, b in itertools.product(all_summands(A), repeat=2):
-        for k in (-1, 0, 1):
-            T, U = cx._summand_complex(a, A), cx.shift(cx._summand_complex(b, A), k)
-            HS = cx.HomSet(T, U)
-            empty += not HS.unknowns
-            dim, cycles, basis = _general_homset(T, U)
-            assert HS.dim == dim, (a, b, k)
-            for got, want in ((HS.cycles, cycles), (HS.basis(), basis)):
-                assert got.dtype == want.dtype and np.array_equal(got, want), (a, b, k)
-    assert empty  # the pairs with no degree-0 map are among them
-
-
 def _mutation_cones(A, monkeypatch):
     """Every complex that `_mutate_summand` reduces while each object of A is
     mutated at each orbit with both signs."""

@@ -47,7 +47,6 @@ def test_no_uncalled_definitions():
 # every memo cache in src/, each named in README.md; a new cache is added here
 # and documented there on purpose
 MEMO_CACHES = [
-    "cli.build_parser",
     "complexes._mutate_summand", "complexes._summand_complex", "complexes._summand_hom_in_frame",
     "disc.enumerate_triangulations",
     "modcat._stable_hom_core", "modcat.closure_inds",
