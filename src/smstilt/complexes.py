@@ -4,23 +4,23 @@ Morphisms between projectives are polynomials in the radical generator:
 Hom(P_a, P_b) has basis x^s for 0 <= s <= ell with s = a - b (mod n),
 composition adds exponents and truncates above ell.  Complexes are kept
 as summand lists with polynomial differential entries, and all of the
-work is exact GF(2) linear algebra on the polynomial coefficients.
-Hom_K(T, U) is read off the Hom complex, whose differential
-`_hom_differential` gives both the chain maps (its kernel in degree 0)
-and the null-homotopic maps (its image from degree -1).  Mutation takes
-the cone of the universal approximation, every basis map into (or out of)
-the other summands, and `normalize` reduces it in one elimination pass,
-cancelling contractible pairs and splitting the rest into stalks and
-arrows; the one summand that is not an approximation target replaces the
-mutated one.
+work is exact GF(2) linear algebra on Python ints: a polynomial is the int
+whose bit k is its coefficient of x^k, so a product is a carry-less
+multiply masked to ell + 1 bits, and a vector of Hom-complex coordinates
+is the int whose bit j is coordinate j.  Hom_K(T, U) is read off the Hom
+complex, whose differential `_hom_differential` gives both the chain maps
+(its kernel in degree 0, by `gf._kernel2`) and the null-homotopic maps
+(its image from degree -1).  Mutation takes the cone of the universal
+approximation, every basis map into (or out of) the other summands, and
+`normalize` reduces it in one elimination pass, cancelling contractible
+pairs and splitting the rest into stalks and arrows; the one summand that
+is not an approximation target replaces the mutated one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from . import disc, gf
 from .modcat import Algebra, SplitCone, _bar, _json_ints, _json_list, _orbits
@@ -93,42 +93,36 @@ def twoterm_from_json(obj) -> TwoTerm:
 
 
 # -- polynomial arithmetic mod 2, truncated above x^ell ----------------------
+# A polynomial is an int: bit k is its coefficient of x^k.
 
-def _pzero(A: Algebra) -> np.ndarray:
-    return np.zeros(A.ell + 1, dtype=np.int64)
-
-
-def _pmono(s: int, A: Algebra) -> np.ndarray:
-    p = _pzero(A)
-    p[s] = 1
-    return p
-
-
-def _pmul(a: np.ndarray, b: np.ndarray, A: Algebra) -> np.ndarray:
-    return np.convolve(a, b)[:A.ell + 1] % 2
+def _pmul(a: int, b: int, A: Algebra) -> int:
+    """a * b truncated above x^ell: a carry-less product."""
+    out = 0
+    while b:
+        low = b & -b
+        out ^= a * low   # a * x^k for the bit k of b
+        b ^= low
+    return out & (1 << A.ell + 1) - 1
 
 
-def _pinv(a: np.ndarray, A: Algebra) -> np.ndarray:
-    if a[0] != 1:
+def _pinv(a: int, A: Algebra) -> int:
+    """a^-1 for a unit a = 1 + r: the product of the 1 + r^(2^j), since
+    (1 + r)(1 + r)(1 + r^2)...(1 + r^(2^(m-1))) = 1 + r^(2^m) in
+    characteristic 2, and r^(2^m) vanishes once 2^m > ell."""
+    if not a & 1:
         raise ValueError("_pinv: the constant term is not 1, so the polynomial is not a unit")
-    L = A.ell + 1
-    b = _pzero(A)
-    b[0] = 1
-    for k in range(1, L):
-        b[k] = int(a[1:k + 1] @ b[k - 1::-1]) % 2
-    return b
+    inv, r = 1, a ^ 1
+    while r:
+        inv = _pmul(inv, r ^ 1, A)
+        r = _pmul(r, r, A)
+    return inv
 
 
-def _pshift(p: np.ndarray, s: int) -> np.ndarray:
-    """p / x^s, dropping the terms below x^s."""
-    return np.concatenate([p[s:], np.zeros(s, dtype=np.int64)])
-
-
-def _pdivide(num: np.ndarray, s: int, inv: np.ndarray, A: Algebra) -> np.ndarray:
+def _pdivide(num: int, s: int, inv: int, A: Algebra) -> int:
     """num / (x^s * u) for inv = u^-1, where num is divisible by x^s."""
-    if num[:s].any():
+    if num & (1 << s) - 1:
         raise ValueError(f"_pdivide: the numerator is not divisible by x^{s}")
-    return _pmul(_pshift(num, s), inv, A)
+    return _pmul(num >> s, inv, A)
 
 
 # -- raw complexes of projectives --------------------------------------------
@@ -138,26 +132,26 @@ class ProjComplex:
     """A bounded complex of indecomposable projectives.
 
     summands[k] = (degree, projective index); diff maps position pairs
-    (target, source) with deg(target) = deg(source) + 1 to polynomials.
+    (target, source) with deg(target) = deg(source) + 1 to nonzero
+    polynomials.
     """
 
     algebra: Algebra
     summands: list[tuple[int, int]]
-    diff: dict[tuple[int, int], np.ndarray]
+    diff: dict[tuple[int, int], int]
 
 
 def from_twoterm(T: TwoTerm) -> ProjComplex:
     A = T.algebra
     summands: list[tuple[int, int]] = []
-    diff: dict[tuple[int, int], np.ndarray] = {}
+    diff: dict[tuple[int, int], int] = {}
     for s in T.summands:
         if isinstance(s, Stalk):
             summands.append((s.deg, s.idx))
         else:
             summands.append((-1, s.src))
             summands.append((0, s.tgt))
-            diff[(len(summands) - 1, len(summands) - 2)] = \
-                _pmono(_min_pos_degree(s.src, s.tgt, A), A)
+            diff[(len(summands) - 1, len(summands) - 2)] = 1 << _min_pos_degree(s.src, s.tgt, A)
     return ProjComplex(A, summands, diff)
 
 
@@ -168,7 +162,7 @@ def shift(C: ProjComplex, k: int) -> ProjComplex:
 
 def direct_sum(A: Algebra, blocks: list[ProjComplex]) -> tuple[ProjComplex, list[int]]:
     summands: list[tuple[int, int]] = []
-    diff: dict[tuple[int, int], np.ndarray] = {}
+    diff: dict[tuple[int, int], int] = {}
     offsets = []
     for B in blocks:
         off = len(summands)
@@ -201,16 +195,17 @@ def normalize(C: ProjComplex) -> TwoTerm | None:
         return all(e is None or e[0] in (-1, 0) for e in summands)
 
     while diff:
-        s, (r, c) = min((int(p.nonzero()[0][0]), k) for k, p in diff.items())
+        low, (r, c) = min((p & -p, k) for k, p in diff.items())
+        s = low.bit_length() - 1
         if s and not in_window():
             return None
-        inv = _pinv(_pshift(diff.pop((r, c)), s), A)
+        inv = _pinv(diff.pop((r, c)) >> s, A)
         lams = [(i, _pdivide(p, s, inv, A)) for (i, j), p in diff.items() if j == c]
         row = [(j, p) for (i, j), p in diff.items() if i == r]
         for i, lam in lams:
             for j, p in row:
-                q = (diff.get((i, j), _pzero(A)) + _pmul(lam, p, A)) % 2
-                if q.any():
+                q = diff.get((i, j), 0) ^ _pmul(lam, p, A)
+                if q:
                     diff[(i, j)] = q
                 else:
                     diff.pop((i, j), None)
@@ -272,54 +267,58 @@ def _hom_coords(T: ProjComplex, U: ProjComplex, k: int) -> list:
             for s in range((a - b) % A.n, A.ell + 1, A.n)]
 
 
-def _hom_differential(T: ProjComplex, U: ProjComplex, k: int) -> np.ndarray:
-    """The GF(2) matrix of the Hom-complex differential f -> d_U f + f d_T
-    from degree-k to degree-(k + 1) maps, in `_hom_coords` order.  Over an
-    odd characteristic the second term takes the sign -(-1)^k."""
-    L = T.algebra.ell + 1
-    rows = {co: r for r, co in enumerate(_hom_coords(T, U, k + 1))}
-    cols = _hom_coords(T, U, k)
-    dU = [(key, p.nonzero()[0].tolist()) for key, p in U.diff.items()]
-    dT = [(key, p.nonzero()[0].tolist()) for key, p in T.diff.items()]
-    D = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for col, ((ui, ti), s) in enumerate(cols):
-        terms = [((u2, ti), e) for (u2, u1), e in dU if u1 == ui]
-        terms += [((ui, t2), e) for (t1, t2), e in dT if t1 == ti]
-        for slot, e in terms:
-            for t in e:
-                if s + t < L:
-                    D[rows[(slot, s + t)], col] ^= 1
-    return D
+def _hom_differential(T: ProjComplex, U: ProjComplex, k: int) -> list[int]:
+    """The Hom-complex differential f -> d_U f + f d_T from degree-k to
+    degree-(k + 1) maps over GF(2), as one packed column per `_hom_coords`
+    of degree k: bit r of a column is its entry in row r, the r-th
+    coordinate of degree k + 1.  Over an odd characteristic the second term
+    takes the sign -(-1)^k."""
+    full = (1 << T.algebra.ell + 1) - 1
+    rows = {co: 1 << r for r, co in enumerate(_hom_coords(T, U, k + 1))}
+    cols = []
+    for (ui, ti), s in _hom_coords(T, U, k):
+        terms = [((u2, ti), p) for (u2, u1), p in U.diff.items() if u1 == ui]
+        terms += [((ui, t2), p) for (t1, t2), p in T.diff.items() if t1 == ti]
+        col = 0
+        for slot, p in terms:
+            p = p << s & full
+            while p:
+                low = p & -p
+                col ^= rows[(slot, low.bit_length() - 1)]
+                p ^= low
+        cols.append(col)
+    return cols
 
 
 class HomSet:
-    """Chain maps T -> U modulo homotopy, as GF(2) coordinate vectors.
+    """Chain maps T -> U modulo homotopy, as packed GF(2) coordinate
+    vectors: bit j of a vector is its coordinate j.
 
     `unknowns` are the `_hom_coords` of degree 0; `cycles` spans the chain
     maps, the kernel of the Hom-complex differential, and `boundaries` the
-    null-homotopic ones, its image from degree -1.
+    null-homotopic ones, its nonzero columns from degree -1.
     """
 
     def __init__(self, T: ProjComplex, U: ProjComplex):
         self.A = T.algebra
         self.unknowns = _hom_coords(T, U, 0)
-        self.cycles = gf.nullspace(_hom_differential(T, U, 0))
-        B = _hom_differential(T, U, -1).T
-        self.boundaries = B[B.any(axis=1)]
-        self.dim = self.cycles.shape[0] - gf.rank(self.boundaries)
+        self.cycles = tuple(gf._kernel2(_hom_differential(T, U, 0)))
+        self.boundaries = tuple(filter(None, _hom_differential(T, U, -1)))
+        self.dim = len(self.cycles) - len(gf._basis2(self.boundaries))
 
-    def basis(self) -> np.ndarray:
+    def basis(self) -> tuple[int, ...]:
         """Cycle representatives spanning Hom_K, independent mod boundaries,
-        one per row."""
-        return self.cycles[gf.independent_mod(self.boundaries, self.cycles)]
+        in `cycles` order."""
+        span = gf._basis2(self.boundaries)
+        return tuple(z for z in self.cycles if gf._insert2(span, z))
 
-    def to_map(self, vec: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-        f: dict[tuple[int, int], np.ndarray] = {}
-        for col in np.flatnonzero(vec):
-            slot, s = self.unknowns[col]
-            if slot not in f:
-                f[slot] = _pzero(self.A)
-            f[slot][s] = 1
+    def to_map(self, vec: int) -> dict[tuple[int, int], int]:
+        f: dict[tuple[int, int], int] = {}
+        while vec:
+            low = vec & -vec
+            slot, s = self.unknowns[low.bit_length() - 1]
+            f[slot] = f.get(slot, 0) | 1 << s
+            vec ^= low
         return f
 
 
@@ -328,13 +327,9 @@ def cone(f: dict, X: ProjComplex, Y: ProjComplex) -> ProjComplex:
     A = X.algebra
     summands = [(d - 1, i) for d, i in X.summands] + list(Y.summands)
     off = len(X.summands)
-    diff: dict[tuple[int, int], np.ndarray] = {}
-    for (r, c), p in X.diff.items():
-        diff[(r, c)] = p.copy()
-    for (r, c), p in Y.diff.items():
-        diff[(r + off, c + off)] = p.copy()
-    for (ui, ti), p in f.items():
-        diff[(ui + off, ti)] = p.copy()
+    diff = dict(X.diff)
+    diff.update(((r + off, c + off), p) for (r, c), p in Y.diff.items())
+    diff.update(((ui + off, ti), p) for (ui, ti), p in f.items())
     return ProjComplex(A, summands, diff)
 
 
@@ -431,22 +426,13 @@ def phi_inv(T: TwoTerm) -> tuple[disc.Triangulation, str]:
 
 # -- mutation ------------------------------------------------------------------
 
-def _frozen(M: np.ndarray) -> np.ndarray:
-    """M made read-only, for arrays that a cache hands to every caller."""
-    M.flags.writeable = False
-    return M
-
-
 @lru_cache(maxsize=None)
 def _summand_complex(s: Summand, A: Algebra) -> ProjComplex:
     """The one-summand complex s; callers must not mutate it."""
-    C = from_twoterm(TwoTerm(A, (s,)))
-    for p in C.diff.values():
-        _frozen(p)
-    return C
+    return from_twoterm(TwoTerm(A, (s,)))
 
 
-def _summand_hom(a: Summand, b: Summand, k: int, A: Algebra) -> tuple[HomSet, np.ndarray]:
+def _summand_hom(a: Summand, b: Summand, k: int, A: Algebra) -> tuple[HomSet, tuple[int, ...]]:
     """Hom_K(a, b[k]) between two single-summand complexes, and coordinate
     rows in it, reduced modulo the boundaries, of chain maps that form a
     basis; Hom_K is additive over summands.  For k = 0 and a != b, as every
@@ -458,17 +444,15 @@ def _summand_hom(a: Summand, b: Summand, k: int, A: Algebra) -> tuple[HomSet, np
 
 
 @lru_cache(maxsize=None)
-def _summand_hom_in_frame(key_a, key_b, k: int, A: Algebra) -> tuple[HomSet, np.ndarray]:
+def _summand_hom_in_frame(key_a, key_b, k: int, A: Algebra) -> tuple[HomSet, tuple[int, ...]]:
     """`_summand_hom` in the frame that anchors a, keyed on the `sort_key`s
     of a and b there: plain ints that hash fast, computed without building
     the rotated summands.  The answer is made of positions and polynomial
     degrees only, which rotation keeps, so it serves every frame."""
     a, b = (Arrow(x, y) if kind else Stalk(y, x) for kind, x, y in (key_a, key_b))
     HS = HomSet(_summand_complex(a, A), shift(_summand_complex(b, A), k))
-    rows = gf.reduce_mod(HS.boundaries, HS.basis())[1]
-    for M in (HS.cycles, HS.boundaries):
-        _frozen(M)
-    return HS, _frozen(rows)
+    span = gf._basis2(HS.boundaries)
+    return HS, tuple(gf._reduce2(span, z) for z in HS.basis())
 
 
 @lru_cache(maxsize=None)
@@ -492,7 +476,7 @@ def _mutate_summand(s: Summand, targets: tuple, sign: str, A: Algebra) -> Summan
         HS, rows = _summand_hom(*((s, m) if left else (m, s)), 0, A)
         items += [(m, HS.to_map(z)) for z in rows]
     Mc, offs = direct_sum(A, [_summand_complex(m, A) for m, _ in items])
-    gmap: dict[tuple[int, int], np.ndarray] = {}
+    gmap: dict[tuple[int, int], int] = {}
     for (_, f), off in zip(items, offs):
         for (ui, ti), p in f.items():
             gmap[(ui + off, ti) if left else (ui, ti + off)] = p

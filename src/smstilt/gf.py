@@ -4,7 +4,9 @@ All matrices are numpy int64 arrays with entries reduced mod p.  Sizes stay
 small (a few hundred rows at the very most).  p defaults to 2; p=3 is used
 for the cross-field checks.  Over GF(2) each row is packed into one Python
 int and eliminated with XOR (the M4RI-style elimination of Albrecht-Bard);
-every other p runs plain Gaussian elimination on the dense array.
+every other p runs plain Gaussian elimination on the dense array.  The
+complex side keeps its GF(2) vectors packed and calls the packed helpers
+(`_basis2`, `_insert2`, `_reduce2`, `_kernel2`) directly.
 """
 
 from __future__ import annotations
@@ -69,6 +71,30 @@ def _basis2(rows: list[int]) -> dict[int, int]:
     return basis
 
 
+def _kernel2(cols: list[int]) -> list[int]:
+    """Packed basis of the right kernel of the matrix whose columns are the
+    packed ints `cols` (bit r of a column is its row r); bit j of a kernel
+    vector is column j.
+
+    Each column is tagged with its own bit above every row bit and reduced
+    against the independent columns before it, so a column that depends on
+    them yields its tag plus theirs: one vector per non-pivot column, in
+    column order, as the nullspace read off the RREF has.
+    """
+    h = max(map(int.bit_length, cols), default=0)
+    basis: dict[int, int] = {}   # lowest row bit: reduced tagged column
+    kernel = []
+    for j, c in enumerate(cols):
+        v = c | 1 << h + j
+        while (low := v & -v) in basis:
+            v ^= basis[low]
+        if v & (1 << h) - 1:
+            basis[low] = v
+        else:
+            kernel.append(v >> h)
+    return kernel
+
+
 def _rref_dense(M, p: int) -> tuple[np.ndarray, list[int]]:
     """Gauss-Jordan elimination on the dense array, for any prime p."""
     R = normalize(M, p).copy()
@@ -118,21 +144,6 @@ def rank(M, p: int = 2) -> int:
     if p == 2:
         return len(_basis2(_pack2(M)))
     return len(rref(M, p)[1])
-
-
-def nullspace(M, p: int = 2) -> np.ndarray:
-    """Basis of the right nullspace of M, one vector per row."""
-    M = normalize(M, p)
-    rows, cols = M.shape
-    R, pivots = rref(M, p)
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(R[i, fc])) % p
-    return basis
 
 
 def reduce_rows(R: np.ndarray, pivots: list[int], v, p: int = 2) -> np.ndarray:

@@ -2,6 +2,8 @@ import numpy as np
 
 from smstilt import gf
 
+from _gf_reference import nullspace, unpacked
+
 
 def test_rref_rank():
     M = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
@@ -10,9 +12,10 @@ def test_rref_rank():
 
 
 def test_nullspace_is_kernel():
+    # the test-local reference nullspace, read off gf.rref
     M = np.array([[1, 1, 0], [0, 1, 1]])
     for p in (2, 3):
-        N = gf.nullspace(M, p)
+        N = nullspace(M, p)
         assert N.shape[0] == 1
         assert not ((M @ N.T) % p).any()
 
@@ -33,10 +36,10 @@ def test_gf2_kernel_matches_dense_elimination(monkeypatch):
         assert piv == piv0
         assert R.dtype == R0.dtype and R.shape == R0.shape and R.tobytes() == R0.tobytes()
         assert gf.rank(M, 2) == (len(piv0) if M.size else 0)
-        N = gf.nullspace(M, 2)
+        N = nullspace(M, 2)
         with monkeypatch.context() as m:
             m.setattr(gf, "rref", gf._rref_dense)
-            N0 = gf.nullspace(M, 2)
+            N0 = nullspace(M, 2)
         assert N.shape == N0.shape and N.tobytes() == N0.tobytes()
         half = rows // 2
         R0, piv0 = gf._rref_dense(M[:half], 2)
@@ -44,6 +47,34 @@ def test_gf2_kernel_matches_dense_elimination(monkeypatch):
         W0 = np.array([gf.reduce_rows(R0, piv0, v, 2) for v in M[half:]],
                       dtype=np.int64).reshape(M[half:].shape)
         assert piv == piv0 and W.shape == W0.shape and W.tobytes() == W0.tobytes()
+
+
+def _packed_columns(M):
+    """Columns of a 0/1 matrix as ints; bit r of a column is its row r."""
+    return [sum(int(M[r, c]) << r for r in range(M.shape[0])) for c in range(M.shape[1])]
+
+
+def test_packed_kernel_matches_rref_nullspace():
+    # the packed column elimination against the nullspace read off the RREF,
+    # on random shapes including no rows and no columns: same dimension,
+    # every vector in the kernel, the same span, and in fact the same basis
+    rng = np.random.default_rng(20130421)
+    shapes = 0
+    for _ in range(1500):
+        rows, cols = int(rng.integers(0, 9)), int(rng.integers(0, 12))
+        M = (rng.random((rows, cols)) < rng.random()).astype(np.int64)
+        if cols > 2:  # force a dependent column
+            M[:, -1] = M[:, 0] ^ M[:, 1]
+        K = unpacked(gf._kernel2(_packed_columns(M)), cols)
+        N = nullspace(M, 2)
+        assert K.shape == N.shape, (M, K, N)
+        assert not ((M @ K.T) % 2).any(), M
+        both = np.concatenate([K, N])
+        assert len(gf._rref_dense(both, 2)[1]) == len(gf._rref_dense(N, 2)[1]) == len(N), M
+        assert np.array_equal(K, N), M
+        shapes += not rows or not cols
+    assert shapes >= 100
+    assert gf._kernel2([]) == [] and gf._kernel2([0, 0]) == [1, 2]
 
 
 def test_rank_one_row_path_matches_dense_elimination():
