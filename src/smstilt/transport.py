@@ -1,15 +1,15 @@
-"""The tilting-to-sms map computed by mutation transport, exchange
-quivers on both sides, and the machine-checked verification suites.
+"""The tilting-to-sms map, exchange quivers on both sides, and the
+machine-checked verification suites.
 
-A two-term tilting complex is reached from the stalk complex (minus part)
-or its shift (plus part) by a canonical sequence of mutations, read off
-its Brauer tree by star reduction.  These sequences form a tree: undoing
-T's last step reaches a parent whose sequence is T's without it.  `fmap`
-walks that tree, one complex-side and one sms mutation per complex; the
-full replay stays behind `canonical_sequence`, as the tests' reference.
-The suites check counts, bijectivity/surjectivity, mutation
-compatibility, the exchange-quiver embedding, type partitions,
-multiplicity collapse and the module-level functor identities.
+`fmap` reads T's image off the stable equivalence that T induces: the
+summand T_j goes to the stable image of the X_j with dim Hom_D(T_i, X_j[m])
+= [i = j][m = 0], a brick M or M[1], whose image is M or Omega^-1 M.  The
+cross-check shares no code with it: T's canonical mutation sequence, read
+off its Brauer tree by star reduction, is a path in a tree that
+`_fmap_cached` walks, one mutation per complex on each side.  The suites
+check counts, bijectivity/surjectivity, mutation compatibility, the
+exchange-quiver embedding, type partitions, multiplicity collapse, the
+module-level functor identities and the agreement of the two routes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import brauer, complexes, disc, modcat, smscfg
 from .complexes import TwoTerm
-from .modcat import Algebra, Ind, _bar
+from .modcat import Algebra, Ind, _bar, omega_inv
 from .smscfg import Configuration
 
 
@@ -91,17 +91,72 @@ def _parent(T: TwoTerm):
 
 
 def fmap_tracked(T: TwoTerm):
-    """The configuration of T and its correspondence summand -> point.
-
-    The anchors map to the simples (minus part) and their cosyzygies (plus
-    part); any other T to the mutation, with T's sign, of its parent's
-    image (`_parent`) at the points of the summands that replace T's last
-    orbit, each summand following its replacement.  Images are memoised
-    per process; the correspondence is a fresh dict.  Raises ValueError
-    unless T = phi(X, sign) for a triangulation X.
-    """
-    C, corr = _fmap_cached(T)
+    """The configuration of T and its correspondence summand -> point, read
+    off the stable equivalence that T induces.  Images are memoised per
+    process; the correspondence is a fresh dict.  Raises ValueError unless
+    T is a two-term tilting complex (see `_derived_fmap`)."""
+    C, corr = _derived_fmap(T)
     return C, dict(corr)
+
+
+@lru_cache(maxsize=None)
+def _derived_columns(A: Algebra):
+    """(columns, images), bit k for the k-th module M of
+    `modcat.nonprojective_inds(A)`.  Per summand s, `columns[s]` masks the M
+    with (dim Hom_D(s, M), dim Hom_D(s, M[1])) = (1, 0), = (0, 1) and
+    != (0, 0); `images[k]` holds the points of M and Omega^-1 M.  M has
+    S_{top + k} at depth k from its top.  A stalk P_i counts its S_i; an
+    arrow P_a -> P_b of degree d has Hom_D the S_b among the d lowest factors
+    (the kernel of Hom(P_b, M) -> Hom(P_a, M)) and the S_a among the d top
+    ones (its cokernel)."""
+    n, mods = A.n, modcat.nonprojective_inds(A)
+
+    def count(i, M, lo, hi):  # the S_i at depths lo <= k < hi
+        lo = max(lo, 0)
+        return len(range(lo + (i - modcat.top(M, A) - lo) % n, min(hi, M.length), n))
+
+    def hom(s, M):
+        if isinstance(s, complexes.Stalk):
+            h = count(s.idx, M, 0, M.length)
+            return (h, 0) if s.deg == 0 else (0, h)
+        d = complexes._min_pos_degree(s.src, s.tgt, A)
+        return count(s.tgt, M, M.length - d, M.length), count(s.src, M, 0, d)
+
+    summands = [complexes.Stalk(i, deg) for i in range(1, n + 1) for deg in (0, -1)]
+    summands += [complexes.Arrow(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+                 if complexes._min_pos_degree(a, b, A) <= A.ell]
+    columns = {}
+    for s in summands:
+        homs = [hom(s, M) for M in mods]
+        columns[s] = tuple(sum(1 << k for k, h in enumerate(homs) if test(h))
+                           for test in ((1, 0).__eq__, (0, 1).__eq__, any))
+    return columns, [(smscfg.point_of(M), smscfg.point_of(omega_inv(M, A))) for M in mods]
+
+
+@lru_cache(maxsize=None)
+def _derived_fmap(T: TwoTerm):
+    """(C, correspondence): X_j is the one M with (dim Hom_D(T_j, M),
+    dim Hom_D(T_j, M[1])) a unit vector and no Hom_D from the other summands.
+    Refuses T unless it has n summands, each with one X_j, whose points form
+    a configuration; on all basic complexes of A_3^6, A_3^3 and A_4^2 that
+    is `is_tilting` (a test)."""
+    A = T.algebra
+    columns, images = _derived_columns(A)
+    cols = [columns[s] for s in T.summands]
+    once = twice = 0  # the M that some summand reaches, and that two or more reach
+    for _, _, nonzero in cols:
+        twice |= once & nonzero
+        once |= nonzero
+    corr = []
+    for s, (deg0, deg1, _) in zip(T.summands, cols):
+        x = (deg0 | deg1) & ~twice
+        if not x or x & (x - 1):
+            raise ValueError(_NOT_TILTING)
+        corr.append((s, images[x.bit_length() - 1][0 if x & deg0 else 1]))
+    C = Configuration(A, tuple(p for _, p in corr))
+    if not len(corr) == len(C.points) == A.n or not smscfg.is_configuration(C, A):
+        raise ValueError(_NOT_TILTING)
+    return C, tuple(corr)
 
 
 @lru_cache(maxsize=None)
@@ -264,6 +319,24 @@ def _verify_mutation_compat(A: Algebra) -> dict:
     return _report("mutation-compat", not bad, {"edges_checked": len(Q.arrows)}, bad)
 
 
+def _verify_stable_equivalence(A: Algebra) -> dict:
+    """The derived route against the tree on every complex; a refusal fails."""
+    objs = two_term_objects(A)
+    bad = []
+    for T in objs:
+        C0, corr0 = _fmap_cached(T)
+        try:
+            C, corr = _derived_fmap(T)
+        except ValueError as exc:
+            bad.append({"complex": T.to_json(), "derived": str(exc), "tree": C0.to_json()})
+            continue
+        if C.points != C0.points:
+            bad.append({"complex": T.to_json(), "derived": C.to_json(), "tree": C0.to_json()})
+        bad += [{"complex": T.to_json(), "summand": s.to_json(), "derived": list(p), "tree": list(q)}
+                for (s, p), (_, q) in zip(corr, corr0) if p != q]
+    return _report("stable-equivalence", not bad, {"complexes": len(objs)}, bad)
+
+
 def _verify_embedding(A: Algebra) -> dict:
     if A.ell == A.e:
         return _report("embedding", True, {"note": "not applicable when ell = gcd(n, ell)"}, [])
@@ -388,6 +461,7 @@ _SUITES = {
     "types": _verify_types,
     "tilde": _verify_tilde,
     "functors": _verify_functors,
+    "stable-equivalence": _verify_stable_equivalence,
 }
 
 

@@ -52,7 +52,8 @@ MEMO_CACHES = [
     "modcat._stable_hom_core", "modcat.closure_inds",
     "smscfg._mutate_point_in_frame", "smscfg._stable_table",
     "smscfg.enumerate_configurations",
-    "transport._fmap_cached", "transport.two_term_objects",
+    "transport._derived_columns", "transport._derived_fmap", "transport._fmap_cached",
+    "transport.two_term_objects",
 ]
 
 

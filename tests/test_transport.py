@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from smstilt import brauer, complexes as cx, gf, modcat, smscfg
+from smstilt import brauer, complexes as cx, gf, modcat, smscfg, transport
 from smstilt.cli import main
 from smstilt.complexes import Arrow, Stalk, TwoTerm
 from smstilt.modcat import Algebra, Ind, _bar
-from smstilt.transport import (_anchor, _folded_label, _parent, canonical_sequence,
-                               exchange_quiver, fmap, fmap_tracked, two_term_objects,
-                               verify)
+from smstilt.transport import (_anchor, _fmap_cached, _folded_label, _parent,
+                               canonical_sequence, exchange_quiver, fmap, fmap_tracked,
+                               two_term_objects, verify)
 
 from _transport_reference import all_summands, bfs_sequence, exchange_arrows, transport_along
 
@@ -187,17 +187,75 @@ def _derived_correspondence(T):
 
 @pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (6, 9), (6, 4), (4, 2)])
 def test_correspondence_matches_derived_equivalence(n, ell):
-    # the tree transport carries each summand through complex-side mutation;
-    # it agrees with the images of the simples on every complex, covering
+    # fmap reads the images of the simples off masks of composition factors;
+    # it agrees with this module-map reference on every complex, covering
     # cases included, where the replay's index matching does not
     for T in two_term_objects(Algebra(n, ell)):
         assert fmap_tracked(T)[1] == _derived_correspondence(T)
 
 
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 4), (4, 8), (6, 9), (6, 4), (2, 6)])
+def test_derived_route_matches_tree_transport(n, ell):
+    # two routes that share no code: the stable equivalence that T induces,
+    # and the canonical-sequence tree of mutations
+    A = Algebra(n, ell)
+    for T in two_term_objects(A):
+        C, corr = fmap_tracked(T)
+        C0, corr0 = _fmap_cached(T)
+        assert C.points == C0.points and corr == dict(corr0)
+    assert verify("stable-equivalence", A)["status"] == "pass"
+
+
+@pytest.fixture
+def cold_routes():
+    """Empty both routes' caches before and after a fault is patched in."""
+    caches = (transport._derived_columns, transport._derived_fmap, _fmap_cached)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+FLIP = {"minus": "plus", "plus": "minus"}
+
+
+@pytest.mark.parametrize("fault, failing", [("omega for omega_inv", 19), ("tree step sign", 18)])
+def test_stable_equivalence_catches_faults(fault, failing, monkeypatch, cold_routes):
+    # Omega in place of Omega^-1 for the shifted bricks M[1] breaks the route
+    # on every complex but the stalk complex; sms mutation with the wrong
+    # sign breaks the tree on every complex but the two stalk complexes
+    if fault == "omega for omega_inv":
+        monkeypatch.setattr(transport, "omega_inv", modcat.omega)
+    else:
+        real = smscfg.sms_mutate_tracked
+        monkeypatch.setattr(smscfg, "sms_mutate_tracked",
+                            lambda C, K, sign: real(C, K, FLIP[sign]))
+    report = verify("stable-equivalence", A36)
+    named = {cx.twoterm_from_json(c["complex"]) for c in report["counterexamples"]}
+    assert report["status"] == "fail"
+    assert named <= set(two_term_objects(A36)) and len(named) == failing
+
+
+def test_route_needs_the_configuration_test(monkeypatch, cold_routes):
+    # one image per summand alone accepts 54 of the 435 non-tilting complexes
+    # among the 455 basic three-summand complexes of A_3^6
+    monkeypatch.setattr(smscfg, "is_configuration", lambda C, A, p=2: True)
+    accepted = []
+    for summands in itertools.combinations(all_summands(A36), A36.n):
+        T = TwoTerm(A36, summands)
+        if not cx.is_tilting(T):
+            try:
+                accepted.append(fmap_tracked(T))
+            except ValueError:
+                pass
+    assert len(accepted) == 54
+
+
 @pytest.mark.parametrize("n, ell", [(4, 8), (6, 9), (5, 10)])
 def test_built_complexes_are_tilting(n, ell):
-    # fmap trusts the complexes that phi builds from triangulations; this
-    # keeps the algebraic check on them
+    # both routes check their domain combinatorially; this keeps the
+    # algebraic check on the complexes that phi builds from triangulations
     assert all(cx.is_tilting(T) for T in two_term_objects(Algebra(n, ell)))
 
 
