@@ -4,9 +4,11 @@ in-process `cli.main` call.
     PYTHONPATH=src python3 tests/record_golden_outputs.py
 
 Rewrites tests/golden_outputs.json, which `test_golden_outputs.py` replays.
-The calls are the seven original `verify` suites and both exchange quivers
-on A_3^6, A_4^4, A_6^9, A_4^8 and A_5^10, and `fmap` on every two-term
-tilting complex of A_3^6 and A_6^9, all with --json.  The digests pin the
+The calls are all eight `verify` suites and both exchange quivers on A_3^6,
+A_4^4, A_6^9, A_4^8 and A_5^10, and `fmap` on every two-term tilting
+complex of A_3^6 and A_6^9, all with --json.  `stable-equivalence` is the
+one suite that still walks the canonical-sequence tree, so its pins guard
+complex mutation (`two_term_mutate_tracked`) and its cones.  The digests pin the
 output contract; a change that alters an output on purpose re-records them
 and says why.
 """
@@ -25,7 +27,8 @@ from smstilt.modcat import Algebra
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 LADDER = [(3, 6), (4, 4), (6, 9), (4, 8), (5, 10)]
-SUITES = ["bijection", "counts", "embedding", "functors", "mutation-compat", "tilde", "types"]
+SUITES = ["bijection", "counts", "embedding", "functors", "mutation-compat", "stable-equivalence",
+          "tilde", "types"]
 FMAP_ALGEBRAS = [(3, 6), (6, 9)]
 
 
