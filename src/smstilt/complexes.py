@@ -234,12 +234,6 @@ def _rotate(s: Summand, k: int, A: Algebra) -> Summand:
     return Arrow(_bar(s.src + k, A.n), _bar(s.tgt + k, A.n))
 
 
-def _rotate_complex(T: TwoTerm, k: int) -> TwoTerm:
-    """sigma^k T, summand by summand; T itself when n divides k."""
-    A = T.algebra
-    return TwoTerm(A, tuple(_rotate(s, k, A) for s in T.summands)) if k % A.n else T
-
-
 def _anchor(s: Summand, A: Algebra) -> int:
     """The k in range(n) that puts sigma^k s at vertex 1 (its stalk, or the
     source of its arrow): the one k that minimises the `sort_key` of
@@ -356,7 +350,9 @@ def nu_summand(s: Summand, A: Algebra) -> Summand:
 
 
 def nu_complex(T: TwoTerm) -> TwoTerm:
-    return _rotate_complex(T, -T.algebra.ell)
+    """nu T, summand by summand; T itself when n divides ell."""
+    A = T.algebra
+    return TwoTerm(A, tuple(nu_summand(s, A) for s in T.summands)) if A.ell % A.n else T
 
 
 def is_tilting(T: TwoTerm) -> bool:
@@ -497,22 +493,7 @@ def two_term_mutate_tracked(T: TwoTerm, orbit, sign: str):
     """Mutate at a minimal Nakayama-stable summand set.
 
     Returns (mutated complex, {orbit summand: replacement}) or (None, None)
-    when the mutation leaves the two-term window.  Checks the sign and the
-    orbit, then runs `_mutate_tracked`.
-    """
-    if sign not in ("minus", "plus"):
-        raise ValueError(f"sign must be minus or plus, got {sign!r}")
-    orbit = frozenset(orbit)
-    if not orbit or not orbit <= set(T.summands):
-        raise ValueError("orbit is not a set of summands of the complex")
-    if len(_orbits(orbit, lambda s: nu_summand(s, T.algebra), "orbit is not Nakayama-stable")) != 1:
-        raise ValueError("orbit is not minimal Nakayama-stable")
-    return _mutate_tracked(T, orbit, sign)
-
-
-def _mutate_tracked(T: TwoTerm, orbit: frozenset, sign: str):
-    """`two_term_mutate_tracked` without its checks, for an orbit that
-    `nu_orbits(T)` returned.
+    when the mutation leaves the two-term window.
 
     Mutation commutes with the rotation sigma, so each s in the orbit is
     mutated, and memoised, in the frame sigma^k that puts sigma^k s at
@@ -521,7 +502,14 @@ def _mutate_tracked(T: TwoTerm, orbit: frozenset, sign: str):
     The replacement is cached on sigma^k s and its approximation targets
     there, in `sort_key` order (see `_mutate_summand`).
     """
+    if sign not in ("minus", "plus"):
+        raise ValueError(f"sign must be minus or plus, got {sign!r}")
     A = T.algebra
+    orbit = frozenset(orbit)
+    if not orbit or not orbit <= set(T.summands):
+        raise ValueError("orbit is not a set of summands of the complex")
+    if len(_orbits(orbit, lambda s: nu_summand(s, A), "orbit is not Nakayama-stable")) != 1:
+        raise ValueError("orbit is not minimal Nakayama-stable")
     left = sign == "minus"
     rest = [s for s in T.summands if s not in orbit]
     replaced: dict[Summand, Summand] = {}

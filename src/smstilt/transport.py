@@ -14,6 +14,7 @@ module-level functor identities and the agreement of the two routes.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -195,31 +196,28 @@ def two_term_objects(A: Algebra) -> tuple[TwoTerm, ...]:
 
 def exchange_quiver(kind: str, A: Algebra) -> ExchangeQuiver:
     if kind == "2tilt":
-        # Mutation commutes with the rotation sigma: objs[i] = sigma^k objs[r] is
-        # mutated at r, at sigma^-k of its orbit, and the target rotated by sigma^k.
+        # Mutation at a nu-orbit X keeps T - X, which has exactly two tilting
+        # completions T = (T - X) + X and (T - X) + Y (Adachi-Iyama-Reiten).
+        # The exchange triangle X -> E -> Y -> X[1] makes the second the left
+        # mutation of T at X exactly when Hom_K(Y, X[1]) != 0 (Aihara-Iyama).
+        # T - X is keyed as a tuple in `sort_key` order, as T's summands are.
         objs = two_term_objects(A)
-        index = {T: i for i, T in enumerate(objs)}
-        frame, ring, target, arrows = {}, {}, {}, []
-        for r, T in enumerate(objs):
-            if r not in frame:
-                ring[r] = [index.get(complexes._rotate_complex(T, m)) for m in range(A.n)]
-                if None in ring[r]:
-                    raise RuntimeError("rotation left the two-term tilting class")
-                for m, i in enumerate(ring[r]):
-                    frame.setdefault(i, (r, m))
+        completions, mutable, arrows = {}, [], []
         for i, T in enumerate(objs):
-            r, k = frame[i]
             for orbit in complexes.nu_orbits(T):
-                at = (r, frozenset(complexes._rotate(s, -k, A) for s in orbit))
-                if at not in target:
-                    R = complexes._mutate_tracked(objs[r], at[1], "minus")[0]
-                    if R is not None and R not in index:
-                        raise RuntimeError("mutation left the two-term tilting class")
-                    target[at] = None if R is None else frame[index[R]]
-                if target[at] is not None:
-                    t, m = target[at]
-                    arrows.append((i, ring[t][(m + k) % A.n],
-                                   tuple(sorted(orbit, key=lambda s: s.sort_key()))))
+                X = tuple(sorted(orbit, key=lambda s: s.sort_key()))
+                pair = completions.setdefault(tuple(s for s in T.summands if s not in orbit), [])
+                pair.append((i, X))
+                mutable.append((i, X, pair))
+        for i, X, pair in mutable:
+            if len(pair) != 2:
+                at = json.dumps({"complex": objs[i].to_json(), "orbit": [s.to_json() for s in X]},
+                                sort_keys=True, separators=(",", ":"))
+                raise RuntimeError(f"{len(pair)} two-term tilting completions, not 2, "
+                                   f"of the complex minus the orbit: {at}")
+            j, Y = pair[1] if pair[0][0] == i else pair[0]
+            if any(complexes._summand_hom(y, x, 1, A)[0].dim for y in Y for x in X):
+                arrows.append((i, j, X))
         return ExchangeQuiver(kind, objs, tuple(arrows))
     if kind == "sms":
         objs = smscfg.enumerate_configurations(A)

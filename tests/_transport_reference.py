@@ -1,10 +1,11 @@
 """Test-local reference transport for the confluence checks: a breadth-first
-mutation path to each complex, and its replay on the sms side.  `fmap` walks
-the canonical-sequence tree instead, so the two routes share only the single
-mutations on each side.  `all_summands` lists the indecomposable two-term
-complexes, for the brute-force checks over their n-subsets.
-`exchange_arrows` mutates every complex at every orbit, the reference for
-`exchange_quiver`, which mutates one complex per rotation class."""
+mutation path to each complex, and its replay on the sms side.  `fmap` reads
+each image off the stable equivalence instead, so the two routes share no
+mutation.  `all_summands` lists the indecomposable two-term complexes, for the
+brute-force checks over their n-subsets.  `exchange_arrows` mutates every
+complex at every orbit by cones, the reference for `exchange_quiver`, which
+joins the two completions of each complex minus one orbit and computes no
+cone."""
 
 import itertools
 from collections import deque
@@ -32,7 +33,7 @@ def exchange_arrows(A) -> tuple:
     arrows = []
     for i, T in enumerate(objs):
         for orbit in cx.nu_orbits(T):
-            R = cx._mutate_tracked(T, orbit, "minus")[0]
+            R = cx.two_term_mutate_tracked(T, orbit, "minus")[0]
             if R is None:
                 continue
             if R not in index:
@@ -60,7 +61,7 @@ def bfs_sequence(T: TwoTerm) -> list[frozenset]:
     while queue:
         U = queue.popleft()
         for orbit in cx.nu_orbits(U):
-            R = cx._mutate_tracked(U, orbit, sign)[0]
+            R = cx.two_term_mutate_tracked(U, orbit, sign)[0]
             if R is None or R in seen:
                 continue
             seen[R] = (U, orbit)

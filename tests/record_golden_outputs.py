@@ -8,9 +8,9 @@ The calls are all eight `verify` suites and both exchange quivers on A_3^6,
 A_4^4, A_6^9, A_4^8 and A_5^10, and `fmap` on every two-term tilting
 complex of A_3^6 and A_6^9, all with --json.  `stable-equivalence` is the
 one suite that still walks the canonical-sequence tree, so its pins guard
-complex mutation (`two_term_mutate_tracked`) and its cones.  The digests pin the
-output contract; a change that alters an output on purpose re-records them
-and says why.
+complex mutation (`two_term_mutate_tracked`) and its cones.  The digests
+pin the output contract; a change that alters an output on purpose
+re-records them and says why.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -337,13 +338,30 @@ def test_exchange_quiver_matches_per_object_reference(n, ell):
     assert exchange_quiver("2tilt", A).arrows == exchange_arrows(A)
 
 
-def test_exchange_quiver_mutates_once_per_rotation_class(monkeypatch):
-    # 252 objects of 5 orbits each, but only the orbits of one representative
-    # per rotation class are mutated
-    A, calls, real = Algebra(5, 10), [], cx._mutate_tracked
-    monkeypatch.setattr(cx, "_mutate_tracked", lambda *args: calls.append(args) or real(*args))
-    exchange_quiver("2tilt", A)
-    assert len(two_term_objects(A)) == 252 and len(calls) <= 260
+def test_exchange_quiver_computes_no_cone(monkeypatch):
+    # the arrows come from the two-completion join and one Hom_K(Y, X[1])
+    # test per pair, not from mutating any complex
+    def refuse(*args):
+        raise AssertionError("exchange_quiver computed a cone or a mutation")
+
+    monkeypatch.setattr(cx, "two_term_mutate_tracked", refuse)
+    monkeypatch.setattr(cx, "cone", refuse)
+    assert len(exchange_quiver("2tilt", Algebra(5, 10)).arrows) == 630
+
+
+def test_exchange_quiver_refuses_a_missing_completion(monkeypatch):
+    # with one complex D gone, the first complex T that shares all but one
+    # summand X with D (nu is the identity on A_3^6) leaves T minus X with
+    # one completion, and the error names T and X as canonical JSON
+    objs = two_term_objects(A36)
+    D, kept = objs[0], objs[1:]
+    T = next(U for U in kept if len(set(U.summands) - set(D.summands)) == 1)
+    X = sorted(set(T.summands) - set(D.summands), key=lambda s: s.sort_key())
+    monkeypatch.setattr(transport, "two_term_objects", lambda A: kept)
+    with pytest.raises(RuntimeError, match="1 two-term tilting completions, not 2") as err:
+        exchange_quiver("2tilt", A36)
+    at = json.loads(str(err.value).split(": ", 1)[1])
+    assert at == {"complex": T.to_json(), "orbit": [s.to_json() for s in X]}
 
 
 def test_verify_suites_pass():
