@@ -1,40 +1,19 @@
-"""Exact linear algebra over small prime fields GF(p).
+"""Exact linear algebra over small prime fields GF(p), in pure Python.
 
-All matrices are numpy int64 arrays with entries reduced mod p.  Sizes stay
-small (a few hundred rows at the very most).  p defaults to 2; p=3 is used
-for the cross-field checks.  Over GF(2) each row is packed into one Python
-int and eliminated with XOR (the M4RI-style elimination of Albrecht-Bard);
-every other p runs plain Gaussian elimination on the dense array.  The
-complex side keeps its GF(2) vectors packed and calls the packed helpers
-(`_basis2`, `_insert2`, `_reduce2`, `_kernel2`) directly.
+A vector over GF(2) is a packed int, bit c its coordinate c, and rows are
+eliminated with XOR (the M4RI-style elimination of Albrecht-Bard).  A vector
+over any other GF(p) is a sparse dict {coordinate: coefficient in 1..p-1}; a
+packed int stands for its 0/1 vector over every field, so the module side's
+0/1 maps serve all p, and `lift` turns them into dicts where p != 2.  A
+matrix is a sequence of vectors, its columns or its rows as the caller says.
+A basis is a fully reduced dict {pivot: vector}: each vector has its lowest
+coordinate at its pivot, with coefficient 1, and a zero at every other pivot,
+so sorting by pivot gives the reduced row echelon form.  The complex side
+calls the packed GF(2) helpers (`_basis2`, `_insert2`, `_reduce2`,
+`_kernel2`) directly.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-
-def normalize(M, p: int = 2) -> np.ndarray:
-    """Coerce M to a 2-d int64 array with entries in 0..p-1."""
-    A = np.atleast_2d(np.asarray(M, dtype=np.int64))
-    return A % p
-
-
-def _pack2(M: np.ndarray) -> list[int]:
-    """Rows of a 0/1 matrix as ints; bit c of a row is its column c."""
-    B = np.packbits(M, axis=1, bitorder="little")
-    data, width = B.tobytes(), B.shape[1]
-    if not width:
-        return [0] * len(M)
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-
-
-def _unpack2(rows: list[int], cols: int) -> np.ndarray:
-    """Inverse of _pack2: the 0/1 matrix with the given packed rows."""
-    width = (cols + 7) // 8
-    data = b"".join(r.to_bytes(width, "little") for r in rows)
-    B = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(B, axis=1, count=cols, bitorder="little").astype(np.int64)
 
 
 def _reduce2(basis: dict[int, int], r: int) -> int:
@@ -95,97 +74,87 @@ def _kernel2(cols: list[int]) -> list[int]:
     return kernel
 
 
-def _rref_dense(M, p: int) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan elimination on the dense array, for any prime p."""
-    R = normalize(M, p).copy()
-    rows, cols = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = None
-        for i in range(r, rows):
-            if R[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            R[[r, piv]] = R[[piv, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
-        R[r] = (R[r] * inv) % p
-        for i in range(rows):
-            if i != r and R[i, c]:
-                R[i] = (R[i] - R[i, c] * R[r]) % p
-        pivots.append(c)
-        r += 1
-    return R[:len(pivots)], pivots
+def lift(v, p: int):
+    """v as a vector over GF(p): a packed 0/1 int becomes a dict when p != 2."""
+    if p == 2 or type(v) is dict:
+        return v
+    return {c: 1 for c in range(v.bit_length()) if v >> c & 1}
 
 
-def rref(M, p: int = 2) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of M over GF(p).
-
-    Returns (R, pivots) where R holds only the nonzero rows and pivots[i]
-    is the pivot column of row i.
-    """
-    if p != 2:
-        return _rref_dense(M, p)
-    M = normalize(M, p)
-    basis = _basis2(_pack2(M))
-    pivots = sorted(basis)
-    return _unpack2([basis[c] for c in pivots], M.shape[1]), pivots
+def support(v) -> int:
+    """The coordinates where the vector v is nonzero, as a packed int."""
+    return v if type(v) is int else sum(1 << c for c in v)
 
 
-def rank(M, p: int = 2) -> int:
-    M = normalize(M, p)
-    if len(M) < 2:
-        return int(M.any())
+def _axpy(u: dict, a: int, v: dict, p: int) -> dict:
+    """u + a * v over GF(p), as a new dict."""
+    w = dict(u)
+    for c, x in v.items():
+        w[c] = (w.get(c, 0) + a * x) % p
+    return {c: y for c, y in w.items() if y}
+
+
+def combine(cols, coeffs, p: int = 2):
+    """The sum of coeffs[c] * cols[c]: the matrix with columns `cols` applied
+    to the vector `coeffs`."""
     if p == 2:
-        return len(_basis2(_pack2(M)))
-    return len(rref(M, p)[1])
+        out = 0
+        while coeffs:
+            low = coeffs & -coeffs
+            out ^= cols[low.bit_length() - 1]
+            coeffs ^= low
+        return out
+    out: dict = {}
+    for c, a in lift(coeffs, p).items():
+        out = _axpy(out, a, lift(cols[c], p), p)
+    return out
 
 
-def reduce_rows(R: np.ndarray, pivots: list[int], v, p: int = 2) -> np.ndarray:
-    """Reduce vector v modulo the row space given in RREF form."""
-    w = np.asarray(v, dtype=np.int64).copy() % p
-    for i, c in enumerate(pivots):
-        if w[c]:
-            w = (w - w[c] * R[i]) % p
-    return w
-
-
-def reduce_mod(span, vectors, p: int = 2) -> tuple[list[int], np.ndarray]:
-    """Pivot columns of the row span of `span`, and the rows of `vectors`
-    reduced modulo that span (each zero in every pivot column)."""
-    V = normalize(vectors, p)
+def reduce(basis: dict, v, p: int = 2):
+    """The vector v reduced modulo a fully reduced basis, in one pass."""
     if p == 2:
-        basis = _basis2(_pack2(normalize(span, p)))
-        return sorted(basis), _unpack2([_reduce2(basis, r) for r in _pack2(V)], V.shape[1])
-    R, piv = rref(span, p)
-    return piv, np.array([reduce_rows(R, piv, v, p) for v in V], dtype=np.int64).reshape(V.shape)
+        return _reduce2(basis, v)
+    v = lift(v, p)
+    for c, b in basis.items():
+        if c in v:
+            v = _axpy(v, -v[c], b, p)
+    return v
+
+
+def insert(basis: dict, v, p: int = 2) -> bool:
+    """Add v to a fully reduced basis; returns whether v was independent."""
+    if p == 2:
+        return _insert2(basis, v)
+    v = reduce(basis, v, p)
+    if not v:
+        return False
+    c = min(v)
+    v = _axpy({}, pow(v[c], p - 2, p), v, p)
+    for k, b in basis.items():
+        if c in b:
+            basis[k] = _axpy(b, -b[c], v, p)
+    basis[c] = v
+    return True
+
+
+def basis(vectors, p: int = 2) -> dict:
+    """Fully reduced basis of the span of `vectors` over GF(p)."""
+    if p == 2:
+        return _basis2(vectors)
+    out: dict = {}
+    for v in vectors:
+        insert(out, v, p)
+    return out
+
+
+def rank(vectors, p: int = 2) -> int:
+    return len(basis(vectors, p))
 
 
 def independent_mod(span, candidates, p: int = 2) -> list[int]:
-    """Indices of the candidate rows that are independent modulo the row
-    span of `span`, chosen greedily in order: row k is kept when it is not
-    in the span of `span` and the candidates kept before it.
-
-    Both arguments are 2-d with the same number of columns; the kept rows
-    form a basis of (span + candidates) / span.
-    """
-    keep: list[int] = []
-    if p == 2:
-        basis = _basis2(_pack2(normalize(span, p)))
-        for k, r in enumerate(_pack2(normalize(candidates, p))):
-            if _insert2(basis, r):
-                keep.append(k)
-        return keep
-    R, piv = rref(span, p)
-    for k, v in enumerate(normalize(candidates, p)):
-        w = reduce_rows(R, piv, v, p)
-        if w.any():
-            keep.append(k)
-            R, piv = rref(np.concatenate([R, w[None]]), p)
-    return keep
-
+    """Indices of the candidate vectors that are independent modulo the span
+    of `span`, chosen greedily in order: vector k is kept when it is not in
+    the span of `span` and the candidates kept before it, so the kept
+    vectors form a basis of (span + candidates) / span."""
+    b = basis(span, p)
+    return [k for k, v in enumerate(candidates) if insert(b, v, p)]

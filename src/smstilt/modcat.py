@@ -5,8 +5,11 @@ Every indecomposable module is uniserial and determined by its socle and
 Loewy length, written Ind(socle, length).  Composition factors of
 Ind(i, l), read from the top, are S_{i-l+1}, ..., S_i (indices mod n).
 Morphisms are realised as concrete matrices on composition-factor bases
-over GF(p), and all homological operators (syzygies, cones, minimal
-approximations, extension closures) reduce to exact rank computations.
+over GF(p), one `gf` vector per column, and all homological operators
+(syzygies, cones, minimal approximations, extension closures) reduce to exact
+rank computations.  The Hom bases, the radical action and every composite of
+them are 0/1 partial permutations, packed ints that serve every field; only a
+linear combination over GF(p), p != 2, holds other coefficients.
 
 The rotation sigma: i -> i + 1 of the cyclic quiver is an automorphism of A;
 it sends Ind(i, l) to Ind(i + 1, l), so tau = sigma, and it commutes with
@@ -19,8 +22,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-
-import numpy as np
 
 from . import gf
 
@@ -202,11 +203,9 @@ def hom_dim(M: Ind, N: Ind, A: Algebra) -> int:
     return len(overlap_lengths(M, N, A))
 
 
-def _hom_matrix(M: Ind, N: Ind, t: int) -> np.ndarray:
-    f = np.zeros((N.length, M.length), dtype=np.int64)
-    for s in range(t):
-        f[N.length - t + s, s] = 1
-    return f
+def _hom_matrix(M: Ind, N: Ind, t: int) -> tuple[int, ...]:
+    """The basis map f_t as packed columns: column s < t is depth N.length - t + s."""
+    return tuple(1 << N.length - t + s if s < t else 0 for s in range(M.length))
 
 
 def as_sum(M) -> ModSum:
@@ -232,85 +231,91 @@ def vertex_vector(M: ModSum, A: Algebra) -> list[int]:
     return vv
 
 
-def shift_matrix(M: ModSum) -> np.ndarray:
-    """The nilpotent radical action on the flattened basis of M."""
-    d = sum_dim(M)
-    D = np.zeros((d, d), dtype=np.int64)
-    pos = 0
-    for m in M:
-        for s in range(m.length - 1):
-            D[pos + s + 1, pos + s] = 1
-        pos += m.length
-    return D
+def shift_matrix(M: ModSum) -> tuple[int, ...]:
+    """The nilpotent radical action on the flattened basis of M, by columns."""
+    last = set(sum_offsets(M)[1:])
+    return tuple(0 if c + 1 in last else 1 << c + 1 for c in range(sum_dim(M)))
 
 
-def hom_basis(M, N, A: Algebra) -> list[np.ndarray]:
-    """Basis of Hom(M, N) as full matrices on the flattened bases."""
+def _vertex_masks(vv: list[int]) -> dict[int, int]:
+    """Vertex -> the packed coordinates with that vertex label."""
+    return {j: sum(1 << r for r, i in enumerate(vv) if i == j) for j in set(vv)}
+
+
+def _diagonal(Ms: ModSum, Ns: ModSum) -> tuple[int, ...]:
+    """The map M -> N, summand k to summand k by the basis map of the
+    longest overlap (a cover onto, or an inclusion into, Ns[k])."""
+    noffs = sum_offsets(Ns)
+    return tuple(col << noffs[k] for k, (a, b) in enumerate(zip(Ms, Ns))
+                 for col in _hom_matrix(a, b, min(a.length, b.length)))
+
+
+def hom_basis(M, N, A: Algebra) -> list[tuple[int, ...]]:
+    """Basis of Hom(M, N) as packed columns on the flattened bases."""
     Ms, Ns = as_sum(M), as_sum(N)
     moffs, noffs = sum_offsets(Ms), sum_offsets(Ns)
-    dm, dn = sum_dim(Ms), sum_dim(Ns)
     basis = []
     for bi, b in enumerate(Ns):
         for ai, a in enumerate(Ms):
             for t in overlap_lengths(a, b, A):
-                f = np.zeros((dn, dm), dtype=np.int64)
-                f[noffs[bi]:noffs[bi + 1], moffs[ai]:moffs[ai + 1]] = _hom_matrix(a, b, t)
-                basis.append(f)
+                f = [0] * moffs[-1]
+                f[moffs[ai]:moffs[ai] + t] = [1 << noffs[bi] + b.length - t + s for s in range(t)]
+                basis.append(tuple(f))
     return basis
+
+
+def _compose(g, f) -> tuple[int, ...]:
+    """g . f for a 0/1 partial permutation f (at most one 1 per column)."""
+    return tuple(g[x.bit_length() - 1] if x else 0 for x in f)
+
+
+def _flat(f, rows: int) -> int:
+    """The packed 0/1 map f as one packed int, column c at bits c * rows."""
+    return sum(col << c * rows for c, col in enumerate(f))
 
 
 @dataclass(frozen=True)
 class ModMap:
-    """A module map between formal direct sums, as one dense matrix over GF(p)."""
+    """A module map between formal direct sums: a tuple of column vectors
+    over GF(p), each a `gf` vector on the flattened basis of the target."""
 
     source: ModSum
     target: ModSum
-    matrix: np.ndarray
+    matrix: tuple
     p: int = 2
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.int64) % self.p
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (sum_dim(self.target), sum_dim(self.source)):
+        object.__setattr__(self, "matrix", tuple(self.matrix))
+        if (len(self.matrix) != sum_dim(self.source)
+                or any(gf.support(f) >> sum_dim(self.target) for f in self.matrix)):
             raise ValueError("matrix shape does not match source/target")
 
     def check(self, A: Algebra) -> None:
         """Verify grading and intertwining with the radical action."""
         vs = vertex_vector(self.source, A)
-        vt = vertex_vector(self.target, A)
-        for r in range(self.matrix.shape[0]):
-            for c in range(self.matrix.shape[1]):
-                if self.matrix[r, c] and vt[r] != vs[c]:
-                    raise ValueError("map does not respect the vertex grading")
+        masks = _vertex_masks(vertex_vector(self.target, A))
+        if any(gf.support(f) & ~masks.get(vs[c], 0) for c, f in enumerate(self.matrix)):
+            raise ValueError("map does not respect the vertex grading")
         Ds, Dt = shift_matrix(self.source), shift_matrix(self.target)
-        if ((Dt @ self.matrix - self.matrix @ Ds) % self.p).any():
+        if any(gf.combine(Dt, f, self.p) != gf.combine(self.matrix, Ds[c], self.p)
+               for c, f in enumerate(self.matrix)):
             raise ValueError("map does not intertwine the radical action")
 
 
-def _proj_cover_sum(N: ModSum, A: Algebra) -> tuple[ModSum, np.ndarray]:
+def _proj_cover_sum(N: ModSum, A: Algebra) -> tuple[ModSum, tuple[int, ...]]:
     Ps = tuple(proj_of_top(top(b, A), A) for b in N)
-    poffs, noffs = sum_offsets(Ps), sum_offsets(N)
-    pi = np.zeros((sum_dim(N), sum_dim(Ps)), dtype=np.int64)
-    for k, b in enumerate(N):
-        pi[noffs[k]:noffs[k + 1], poffs[k]:poffs[k + 1]] = _hom_matrix(Ps[k], b, b.length)
-    return Ps, pi
+    return Ps, _diagonal(Ps, N)
 
 
-def _composites(Ms: ModSum, Ns: ModSum, A: Algebra) -> np.ndarray:
-    """The integer matrices pi . u, one flattened row per basis map u of
-    Hom(M, P(N)), with pi: P(N) -> N the projective cover."""
-    Ps, pi = _proj_cover_sum(Ns, A)
-    rows = [(pi @ u).reshape(-1) for u in hom_basis(Ms, Ps, A)]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), sum_dim(Ns) * sum_dim(Ms))
-
-
-def factor_rows(M, N, A: Algebra, p: int = 2) -> np.ndarray:
-    """Rows spanning the maps M -> N that factor through a projective.
-
-    Every such map factors through the projective cover of N, so the span
-    of pi . u over u in Hom(M, P(N)) is the whole subspace.
+def factor_rows(M, N, A: Algebra) -> tuple[int, ...]:
+    """Packed rows (`_flat`) spanning the maps M -> N that factor through a
+    projective: the composites pi . u over the basis maps u of Hom(M, P(N)),
+    with pi: P(N) -> N the projective cover, as every such map factors
+    through it.  They are 0/1 partial permutations, so they serve every field.
     """
-    return _composites(as_sum(M), as_sum(N), A) % p
+    Ms, Ns = as_sum(M), as_sum(N)
+    Ps, pi = _proj_cover_sum(Ns, A)
+    return tuple(_flat(_compose(pi, u), sum_dim(Ns)) for u in hom_basis(Ms, Ps, A))
 
 
 # Stable Hom is computed per rotation class of the pair.  For M = Ind(i, l),
@@ -318,25 +323,23 @@ def factor_rows(M, N, A: Algebra, p: int = 2) -> np.ndarray:
 # cover P(N) has socle difference (d - r + 1 + ell) mod n from M, and
 # `_hom_matrix` reads lengths only, so `hom_dim` and the composites that span
 # the maps through P(N) are the same for all pairs of a class (l, r, d).  They
-# are integer matrices, so one cached core serves every field, and only the
+# are 0/1 and field-free, so one cached core serves every field, and only the
 # rank over GF(p) is left to `_stable_hom_class`.  As tau = sigma, the functors
 # suite's tau check compares each class with itself; it catches a tau that is
 # not a rotation.
 @lru_cache(maxsize=None)
-def _stable_hom_core(l: int, r: int, d: int, A: Algebra) -> tuple[int, np.ndarray]:
-    """(dim Hom(M, N), the read-only `_composites(M, N)`) for M = Ind(1, l)
-    and N = Ind(1 + d, r); no composites are built where Hom(M, N) = 0."""
+def _stable_hom_core(l: int, r: int, d: int, A: Algebra) -> tuple[int, tuple[int, ...]]:
+    """(dim Hom(M, N), `factor_rows(M, N)`) for M = Ind(1, l) and
+    N = Ind(1 + d, r); no composites are built where Hom(M, N) = 0."""
     M, N = Ind(1, l), Ind(_bar(1 + d, A.n), r)
     full = hom_dim(M, N, A)
-    rows = _composites((M,), (N,), A) if full else np.zeros((0, l * r), dtype=np.int64)
-    rows.flags.writeable = False
-    return full, rows
+    return full, factor_rows(M, N, A) if full else ()
 
 
 def _stable_hom_class(l: int, r: int, d: int, A: Algebra, p: int) -> int:
     """dim of stable Hom(Ind(1, l), Ind(1 + d, r)) over GF(p)."""
     full, rows = _stable_hom_core(l, r, d, A)
-    return full - gf.rank(rows, p) if len(rows) else full
+    return full - gf.rank(rows, p) if rows else full
 
 
 def stable_hom_dim(M, N, A: Algebra, p: int = 2) -> int:
@@ -348,59 +351,75 @@ def stable_hom_dim(M, N, A: Algebra, p: int = 2) -> int:
                for a in Ms for b in Ns)
 
 
-def stable_reps(M, N, A: Algebra, p: int = 2) -> list[np.ndarray]:
+def stable_reps(M, N, A: Algebra, p: int = 2) -> list[tuple[int, ...]]:
     """Hom-basis elements spanning Hom(M, N) modulo the factoring subspace."""
     Ms, Ns = as_sum(M), as_sum(N)
     basis = hom_basis(Ms, Ns, A)
     if not basis:
         return []
-    rows = np.array([f.reshape(-1) for f in basis])
-    return [basis[k] for k in gf.independent_mod(factor_rows(Ms, Ns, A, p), rows, p)]
+    rows = [_flat(f, sum_dim(Ns)) for f in basis]
+    return [basis[k] for k in gf.independent_mod(factor_rows(Ms, Ns, A), rows, p)]
 
 
 # ---------------------------------------------------------------------------
 # Quotient modules and Krull-Schmidt decomposition.
 # ---------------------------------------------------------------------------
 
-def decompose(vertexvec: list[int], D: np.ndarray, A: Algebra, p: int = 2) -> dict[Ind, int]:
+def decompose(vertexvec: list[int], D, A: Algebra, p: int = 2) -> dict[Ind, int]:
     """Multiplicities of the uniserial summands of (V, D).
 
-    V is given by a vertex label in 1..n per basis vector and D, which
-    sends vertex i to vertex i+1.  With H(j, k) the vertex-j dimension of
-    rad^k V = im D^k, which adds over direct sums, H(j, k) - H(j+1, k+1)
-    counts the summands with socle j and length > k, and the multiplicity
-    of Ind(j, l) is the difference of two such counts.  Raises ValueError
-    when D is not graded, or not nilpotent of index at most A.loewy.
+    V is given by a vertex label in 1..n per basis vector and D, the column
+    vectors (`gf` vectors over GF(p)) of a map that sends vertex i to vertex
+    i+1.  With H(j, k) the vertex-j dimension of rad^k V = im D^k, which adds
+    over direct sums, H(j, k) - H(j+1, k+1) counts the summands with socle j
+    and length > k, and the multiplicity of Ind(j, l) is the difference of
+    two such counts.  Raises ValueError when D is not graded, or not
+    nilpotent of index at most A.loewy.
     """
     n, L = A.n, A.loewy
-    vv = np.asarray(vertexvec, dtype=np.int64)
-    DT = D.T % p  # row c is the image of basis vector c
-    if DT[vv[:, None] % n + 1 != vv[None, :]].any():
+    masks = _vertex_masks(vertexvec)
+    if any(gf.support(col) & ~masks.get(vertexvec[c] % n + 1, 0) for c, col in enumerate(D)):
         raise ValueError("decompose: D does not send vertex i to vertex i+1")
-    H = np.zeros((n, L + 2), dtype=np.int64)
-    H[:, 0] = np.bincount(vv - 1, minlength=n)
-    R = DT
+    H = {j: [0] * (L + 2) for j in range(1, n + 1)}
+    for j in vertexvec:
+        H[j][0] += 1
+    rows = D
     for k in range(1, L + 1):
-        # the rows of R span rad^k V, and each lies inside one vertex
-        R, piv = gf.rref(R, p)
-        if not piv:
+        # rows spans rad^k V; its reduced basis has one vector per pivot, each
+        # inside the pivot's vertex
+        basis = gf.basis(rows, p)
+        if not basis:
             break
-        H[:, k] = np.bincount(vv[piv] - 1, minlength=n)
-        R = (R @ DT) % p
-    longer = H[:, :-1] - np.roll(H, -1, axis=0)[:, 1:]  # [j-1, k]: socle j, length > k
-    mult = longer[:, :-1] - longer[:, 1:]  # [j-1, l-1]: multiplicity of Ind(j, l)
-    if (mult < 0).any() or (mult * np.arange(1, L + 1)).sum() != len(vv):
+        for c in basis:
+            H[vertexvec[c]][k] += 1
+        rows = [gf.combine(D, v, p) for v in basis.values()]
+    mult = {}
+    for j in range(1, n + 1):
+        # longer[k]: the summands with socle j and length > k
+        longer = [H[j][k] - H[j % n + 1][k + 1] for k in range(L + 1)]
+        for l in range(1, L + 1):
+            m = longer[l - 1] - longer[l]
+            if m:
+                mult[Ind(j, l)] = m
+    if (min(mult.values(), default=0) < 0
+            or sum(m * ind.length for ind, m in mult.items()) != len(vertexvec)):
         raise ValueError(f"decompose: (V, D) is not a module of Loewy length at most {L}")
-    return {Ind(int(j) + 1, int(l) + 1): int(mult[j, l]) for j, l in zip(*np.nonzero(mult))}
+    return mult
 
 
-def _quotient(target: ModSum, F: np.ndarray, A: Algebra, p: int = 2):
-    """The module (target)/colspan(F): vertex vector and induced nilpotent."""
+def _quotient(target: ModSum, F, A: Algebra, p: int = 2):
+    """The module (target)/span(F), F vectors in target's coordinates: its
+    vertex vector and the column vectors of its induced nilpotent."""
     vt = vertex_vector(target, A)
-    # row c of W is column c of the shift matrix reduced modulo colspan(F)
-    piv, W = gf.reduce_mod(F.T, shift_matrix(target).T, p)
-    keep = sorted(set(range(len(vt))) - set(piv))
-    return [vt[c] for c in keep], W[np.ix_(keep, keep)].T
+    span = gf.basis(F, p)
+    keep = [c for c in range(len(vt)) if c not in span]
+    # the quotient's coordinate i is the target's keep[i]; a vector reduced
+    # modulo span is zero at every pivot, so `new` reindexes it
+    new = [0] * len(vt)
+    for i, c in enumerate(keep):
+        new[c] = 1 << i
+    D = shift_matrix(target)
+    return [vt[c] for c in keep], [gf.combine(new, gf.reduce(span, D[c], p), p) for c in keep]
 
 
 def _expand(mult: dict[Ind, int]) -> ModSum:
@@ -413,16 +432,12 @@ def _strip_projectives(E: ModSum, A: Algebra) -> ModSum:
 
 
 def pushout_decompose(g: ModMap, A: Algebra, p: int = 2) -> dict[Ind, int]:
-    """Decomposition of the pushout (I(M) ⊕ N)/M along (inclusion, g)."""
-    Ms, Ns = g.source, g.target
-    Is = tuple(Ind(m.socle, A.loewy) for m in Ms)
-    ioffs, moffs = sum_offsets(Is), sum_offsets(Ms)
-    iota = np.zeros((sum_dim(Is), sum_dim(Ms)), dtype=np.int64)
-    for k, m in enumerate(Ms):
-        iota[ioffs[k]:ioffs[k + 1], moffs[k]:moffs[k + 1]] = _hom_matrix(m, Is[k], m.length)
-    F = np.concatenate([iota, g.matrix])
-    vv, DQ = _quotient(Is + Ns, F, A, p)
-    return decompose(vv, DQ, A, p)
+    """Decomposition of the pushout (N ⊕ I(M))/M along (g, inclusion)."""
+    Is = tuple(Ind(m.socle, A.loewy) for m in g.source)
+    dn = sum_dim(g.target)
+    # g and the inclusion have disjoint coordinates, where | is their sum
+    F = [gf.lift(f, p) | gf.lift(i << dn, p) for f, i in zip(g.matrix, _diagonal(g.source, Is))]
+    return decompose(*_quotient(g.target + Is, F, A, p), A, p)
 
 
 def cone_of_stable_map(g: ModMap, A: Algebra, p: int = 2) -> ModSum:
@@ -458,7 +473,7 @@ class SplitCone(Exception):
 # Minimal approximations.
 # ---------------------------------------------------------------------------
 
-def _radical(M: Ind, N: Ind, A: Algebra) -> list[np.ndarray]:
+def _radical(M: Ind, N: Ind, A: Algebra) -> list[tuple[int, ...]]:
     """Hom-basis elements spanning the non-isomorphisms M -> N.
 
     For M = N the identity is the last basis map (overlap t = length).
@@ -474,24 +489,30 @@ def _min_approx(Z: Ind, C, A: Algebra, p: int, left: bool) -> ModMap:
     the radical composites rad(c', c) . Hom(Z, c') over c' in C (dually
     Hom(c', Z) . rad(c, c')), and a basis of that quotient gives the
     components of the map.  Both are read from `hom_basis` modulo
-    `factor_rows`; composites of maps through projectives stay in it.
+    `factor_rows`; composites of maps through projectives stay in it.  Every
+    map here is a 0/1 partial permutation, so the composites serve every
+    field and only the elimination is over GF(p).
     """
     check_ind(Z, A)
     cs = sorted(set(C))
     pair = {c: ((Z,), (c,)) if left else ((c,), (Z,)) for c in cs}
     homs = {c: hom_basis(*pair[c], A) for c in cs if stable_hom_dim(*pair[c], A, p)}
-    pieces: list[tuple[Ind, np.ndarray]] = []
+    pieces: list[tuple[Ind, tuple[int, ...]]] = []
     for c, basis in homs.items():
-        ideal = [factor_rows(*pair[c], A, p)]
+        rows = c.length if left else Z.length
+        ideal = list(factor_rows(*pair[c], A))
         for c2 in homs:
             for u in (_radical(c2, c, A) if left else _radical(c, c2, A)):
-                ideal.extend(((u @ f if left else f @ u) % p).reshape(1, -1) for f in homs[c2])
-        rows = np.array([f.reshape(-1) for f in basis])
-        pieces.extend((c, basis[k]) for k in gf.independent_mod(np.concatenate(ideal), rows, p))
+                ideal.extend(_flat(_compose(u, f) if left else _compose(f, u), rows)
+                             for f in homs[c2])
+        cands = [_flat(f, rows) for f in basis]
+        pieces.extend((c, basis[k]) for k in gf.independent_mod(ideal, cands, p))
     Xs = tuple(c for c, _ in pieces)
-    mat = (np.concatenate([f for _, f in pieces], axis=0 if left else 1) if pieces
-           else np.zeros((0, Z.length) if left else (Z.length, 0), dtype=np.int64))
-    return ModMap((Z,), Xs, mat, p) if left else ModMap(Xs, (Z,), mat, p)
+    if not left:
+        return ModMap(Xs, (Z,), tuple(col for _, f in pieces for col in f), p)
+    offs = sum_offsets(Xs)
+    return ModMap((Z,), Xs, tuple(sum(f[s] << offs[k] for k, (_, f) in enumerate(pieces))
+                                  for s in range(Z.length)), p)
 
 
 def min_left_approx(Z: Ind, C, A: Algebra, p: int = 2) -> ModMap:
@@ -521,10 +542,12 @@ def _core_middle_terms(B: ModSum, C: ModSum, A: Algebra, p: int = 2) -> set[ModS
     if not stable_hom_dim(OC, B, A, p):
         return out
     reps = stable_reps(OC, B, A, p)
-    for coeffs in product(range(p), repeat=len(reps)):
-        if any(coeffs):
-            theta = sum(c * rep for c, rep in zip(coeffs, reps))
-            out.add(_expand(pushout_decompose(ModMap(OC, B, theta, p), A, p)))
+    # the nonzero coefficient vectors over the reps, as `gf` vectors
+    coeffs = (range(1, 2 ** len(reps)) if p == 2 else
+              (dict(enumerate(cs)) for cs in product(range(p), repeat=len(reps)) if any(cs)))
+    for v in coeffs:
+        theta = tuple(gf.combine(cols, v, p) for cols in zip(*reps))
+        out.add(_expand(pushout_decompose(ModMap(OC, B, theta, p), A, p)))
     return out
 
 

@@ -7,13 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from smstilt import brauer, complexes as cx, disc, gf, transport
+from smstilt import brauer, complexes as cx, disc, transport
 from smstilt.complexes import (Arrow, Stalk, TwoTerm, hom_complex_dim,
                                is_silting, is_tilting, nu_complex, nu_orbits,
                                phi, phi_inv, two_term_mutate, twoterm_from_json)
 from smstilt.modcat import Algebra
 
-from _gf_reference import nullspace, unpacked
+from _gf_reference import independent_mod, nullspace, reduce_rows, rref, unpacked
 from _transport_reference import all_summands, bfs_sequence
 
 A36 = Algebra(3, 6)
@@ -394,7 +394,7 @@ def _from_map(HS, f):
 
 def _reduce(HS, vec):
     """vec reduced modulo the boundaries of HS, row by row against their RREF."""
-    return gf.reduce_rows(*gf.rref(_rows(HS.boundaries, HS)), vec)
+    return reduce_rows(*rref(_rows(HS.boundaries, HS)), vec)
 
 
 def _compose_maps(g, f, A):
@@ -464,7 +464,7 @@ def _irreducible_uncached(a, b, mids, A):
                for f in _radical_reference(a, c, A)[1] for g in _radical_reference(c, b, A)[1]]
     ideal = np.concatenate([_rows(HS.boundaries, HS),
                             np.array(through, dtype=np.int64).reshape(-1, len(HS.unknowns))])
-    return tuple(gf.independent_mod(ideal, np.array([_from_map(HS, f) for f in rad])))
+    return tuple(independent_mod(ideal, np.array([_from_map(HS, f) for f in rad])))
 
 
 def end_quiver(T):
@@ -766,7 +766,7 @@ class _LoopHomSet:
                     brows.append(vec)
         self.boundaries = (np.array(brows, dtype=np.int64) if brows
                            else np.zeros((0, len(unknowns)), dtype=np.int64))
-        self.dim = self.cycles.shape[0] - len(gf.rref(self.boundaries)[1])
+        self.dim = self.cycles.shape[0] - len(rref(self.boundaries)[1])
 
     def _add_poly(self, vec, slot, p, s):
         k = self.sidx[slot]

@@ -14,7 +14,8 @@ from smstilt.modcat import (Algebra, Ind, ModMap, _bar, _core_middle_terms,
                             omega_inv, proj_of_top, stable_hom_dim, tau)
 from smstilt.smscfg import enumerate_configurations, nu_orbits_points
 
-from _gf_reference import nullspace
+import _modcat_reference as ref
+from _gf_reference import columns, dense, nullspace, rank, rref
 
 A36 = Algebra(3, 6)
 A44 = Algebra(4, 4)
@@ -25,8 +26,8 @@ def intertwiner_dim(M: Ind, N: Ind, A: Algebra, p: int = 2) -> int:
     """Oracle: solve the grading and shift-commutation conditions directly."""
     vm = modcat.vertex_vector((M,), A)
     vn = modcat.vertex_vector((N,), A)
-    DM = modcat.shift_matrix((M,))
-    DN = modcat.shift_matrix((N,))
+    DM = ref.shift_matrix((M,))
+    DN = ref.shift_matrix((N,))
     dm, dn = M.length, N.length
     cols = dn * dm
     rows = []
@@ -51,24 +52,24 @@ def intertwiner_dim(M: Ind, N: Ind, A: Algebra, p: int = 2) -> int:
                 rows.append(row)
     if not rows:
         return cols
-    return cols - gf.rank(np.array(rows), p)
+    return cols - rank(np.array(rows), p)
 
 
 def stable_oracle(M: Ind, N: Ind, A: Algebra, p: int = 2) -> int:
     """Oracle: quotient by compositions through every projective, not just
     the projective cover of the target."""
-    full = hom_basis(M, N, A)
+    full = ref.hom_basis(M, N, A)
     if not full:
         return 0
     through = []
     for j in range(1, A.n + 1):
         P = proj_of_top(j, A)
-        for u in hom_basis(M, P, A):
-            for v in hom_basis(P, N, A):
+        for u in ref.hom_basis(M, P, A):
+            for v in ref.hom_basis(P, N, A):
                 through.append(((v @ u) % p).reshape(-1))
     if not through:
         return len(full)
-    return len(full) - gf.rank(np.array(through), p)
+    return len(full) - rank(np.array(through), p)
 
 
 def test_hom_dim_examples():
@@ -87,10 +88,17 @@ def test_hom_dim_matches_intertwiner_oracle():
 
 
 def test_hom_basis_maps_are_valid():
+    # each packed basis map is a module map, and the basis is the dense one
     for M in modcat.all_inds(A36)[:8]:
         for N in modcat.all_inds(A36)[:8]:
             for f in hom_basis(M, N, A36):
                 ModMap((M,), (N,), f).check(A36)
+    for X, Y in [((Ind(1, 2), Ind(3, 4)), (Ind(2, 3), Ind(3, 1), Ind(1, 7))), ((), (Ind(1, 1),))]:
+        got = hom_basis(X, Y, A36)
+        want = ref.hom_basis(X, Y, A36)
+        assert [dense(f, modcat.sum_dim(Y)).tolist() for f in got] == [f.tolist() for f in want]
+        assert dense(modcat.shift_matrix(Y), modcat.sum_dim(Y)).tolist() == \
+            ref.shift_matrix(Y).tolist()
 
 
 def test_stable_hom_examples():
@@ -140,24 +148,32 @@ def test_stable_hom_class_core_matches_per_pair(n, ell, p):
     # `stable_reps` returns a basis of the same size, so `_min_approx` may
     # skip it exactly where the core reads 0
     A = Algebra(n, ell)
-    # the core keeps integer composites, field-free; reduced mod p they are
-    # factor_rows over GF(p).  A class with no Hom keeps no rows, and there
-    # every map through a projective is zero
+    # the core keeps the packed 0/1 composites, field-free; they are the
+    # dense reference's factor rows over every field.  A class with no Hom
+    # keeps no rows, and there every map through a projective is zero
     for l, r, d in product(range(1, A.loewy + 1), range(1, A.loewy + 1), range(n)):
         M, N = Ind(1, l), Ind(_bar(1 + d, n), r)
         full, rows = modcat._stable_hom_core(l, r, d, A)
-        want = modcat.factor_rows(M, N, A, p)
-        assert full == hom_dim(M, N, A) and not rows.flags.writeable
+        want = ref.factor_rows(M, N, A, p)
+        assert full == hom_dim(M, N, A) and isinstance(rows, tuple)
         if full:
-            assert rows.dtype == want.dtype and np.array_equal(rows % p, want), (l, r, d)
+            assert rows == modcat.factor_rows(M, N, A), (l, r, d)
+            assert np.array_equal(_unflat(rows, r, l), want), (l, r, d)
         else:
-            assert rows.shape == (0, l * r) and not want.any(), (l, r, d)
+            assert rows == () and not want.any(), (l, r, d)
     inds = modcat.all_inds(A)
     for M in inds:
         for N in inds:
-            direct = hom_dim(M, N, A) - gf.rank(modcat.factor_rows(M, N, A, p), p)
+            direct = hom_dim(M, N, A) - gf.rank(modcat.factor_rows(M, N, A), p)
             assert stable_hom_dim(M, N, A, p) == direct, (M, N)
             assert len(modcat.stable_reps(M, N, A, p)) == direct, (M, N)
+
+
+def _unflat(rows, dn, dm):
+    """Packed `modcat._flat` maps (column c at bits c * dn) as the row-major
+    flattened dense maps of the reference."""
+    return np.array([dense([x >> c * dn & (1 << dn) - 1 for c in range(dm)], dn).reshape(-1)
+                     for x in rows], dtype=np.int64).reshape(len(rows), dn * dm)
 
 
 def test_stable_hom_dim_checks_every_summand():
@@ -195,7 +211,7 @@ def test_proj_cover():
     assert Ps == (proj_of_top(1, A36),)
     ModMap(Ps, (M,), pi).check(A36)
     # kernel of the cover of the simple is its syzygy
-    K = nullspace(pi)
+    K = nullspace(dense(pi, M.length))
     assert K.shape[0] == omega(M, A36).length == 6
     # the cover of a projective is an isomorphism
     P = proj_of_top(2, A36)
@@ -206,9 +222,9 @@ def test_proj_cover():
 
 def test_cone_split_and_contractible():
     M, N = Ind(1, 1), Ind(2, 3)
-    z = ModMap((M,), (N,), np.zeros((N.length, M.length), dtype=np.int64))
+    z = ModMap((M,), (N,), (0,) * M.length)
     assert cone_of_stable_map(z, A36) == tuple(sorted([N, omega_inv(M, A36)]))
-    ident = ModMap((M,), (M,), np.eye(1, dtype=np.int64))
+    ident = ModMap((M,), (M,), (1,))
     assert cone_of_stable_map(ident, A36) == ()
 
 
@@ -216,7 +232,7 @@ def test_cone_over_gf3():
     # 2 * id is an isomorphism over GF(3), so its cone vanishes; read mod 2
     # it would be the zero map, with cone M + Omega^{-1} M
     M = Ind(1, 2)
-    twice = ModMap((M,), (M,), 2 * np.eye(2, dtype=np.int64), p=3)
+    twice = ModMap((M,), (M,), ({0: 2}, {1: 2}), p=3)
     twice.check(A36)
     assert cone_of_stable_map(twice, A36, p=3) == ()
     with pytest.raises(ValueError, match="GF"):
@@ -242,7 +258,7 @@ def _decompose_by_socles(vv, D, A, p):
         soc = nullspace(np.concatenate([D, sel]), p)
         if not len(soc):
             continue
-        dims = [gf.rank(soc, p) + gf.rank(im, p) - gf.rank(np.concatenate([soc, im]), p)
+        dims = [rank(soc, p) + rank(im, p) - rank(np.concatenate([soc, im]), p)
                 for im in images]
         for l in range(1, A.loewy + 1):
             if dims[l - 1] - dims[l]:
@@ -258,7 +274,7 @@ def _graded_automorphism(vv, p, rng):
         idx = [r for r in range(dim) if vv[r] == i]
         while True:
             B = rng.integers(0, p, (len(idx), len(idx)))
-            R, piv = gf.rref(np.concatenate([B, np.eye(len(idx), dtype=np.int64)], axis=1), p)
+            R, piv = rref(np.concatenate([B, np.eye(len(idx), dtype=np.int64)], axis=1), p)
             if piv == list(range(len(idx))):  # [B | I] reduces to [I | B^-1]
                 break
         P[np.ix_(idx, idx)], Pinv[np.ix_(idx, idx)] = B, R[:, len(idx):]
@@ -271,7 +287,7 @@ def _graded_automorphism(vv, p, rng):
 def test_decompose_random_conjugates(n, ell, cases, p):
     # a random direct sum, its basis permuted and conjugated by a random
     # graded automorphism, decomposes back into the same multiset, as the
-    # socle/intersection formula also finds
+    # dense reference and the socle/intersection formula also find
     A = Algebra(n, ell)
     rng = np.random.default_rng(1000 * n + 10 * ell + p)
     inds = modcat.all_inds(A)
@@ -282,34 +298,61 @@ def test_decompose_random_conjugates(n, ell, cases, p):
         perm = rng.permutation(modcat.sum_dim(X))
         vv = [modcat.vertex_vector(X, A)[r] for r in perm]
         P, Pinv = _graded_automorphism(vv, p, rng)
-        D = (P @ modcat.shift_matrix(X)[np.ix_(perm, perm)] @ Pinv) % p
-        assert modcat.decompose(vv, D, A, p) == want
+        D = (P @ ref.shift_matrix(X)[np.ix_(perm, perm)] @ Pinv) % p
+        assert modcat.decompose(vv, columns(D, p), A, p) == want
+        assert ref.decompose(vv, D, A, p) == want
         assert _decompose_by_socles(vv, D, A, p) == want
 
 
-# (n, ell, vertex vector, D): a D from vertex 1 to vertex 3 of A_3^6, and the
-# identity on the single vertex of A_1^2, graded but not nilpotent
-NOT_MODULES = {"not graded": (3, 6, [1, 3], [[0, 0], [1, 0]]),
-               "not nilpotent": (1, 2, [1], [[1]])}
+@pytest.mark.parametrize("p", [2, 3])
+def test_quotient_and_pushout_match_dense_reference(p):
+    # random module maps g: X -> Y over GF(p), combinations of Hom-basis maps:
+    # the quotient of Y by the image of g, its decomposition, and the pushout
+    # along the injective envelope of X, against the dense reference
+    rng = np.random.default_rng(20261021 + p)
+    for A in (A36, A44, Algebra(6, 9)):
+        inds = modcat.nonprojective_inds(A)
+        for _ in range(40):
+            X, Y = (tuple(sorted(inds[k] for k in rng.choice(len(inds), int(rng.integers(1, 3)))))
+                    for _ in range(2))
+            G = np.zeros((modcat.sum_dim(Y), modcat.sum_dim(X)), dtype=np.int64)
+            for f in ref.hom_basis(X, Y, A):
+                G = (G + int(rng.integers(0, p)) * f) % p
+            g = ModMap(X, Y, columns(G, p), p)
+            g.check(A)
+            vv, DQ = modcat._quotient(Y, g.matrix, A, p)
+            vv0, DQ0 = ref.quotient(Y, G, A, p)
+            assert vv == vv0 and np.array_equal(dense(DQ, len(vv)), DQ0), (X, Y, G)
+            assert modcat.decompose(vv, DQ, A, p) == ref.decompose(vv0, DQ0, A, p), (X, Y, G)
+            assert modcat.pushout_decompose(g, A, p) == ref.pushout_decompose(G, X, Y, A, p)
+
+
+# (n, ell, vertex vector, packed columns of D): a D from vertex 1 to vertex 3
+# of A_3^6, and the identity on the single vertex of A_1^2, graded but not
+# nilpotent
+NOT_MODULES = {"not graded": (3, 6, [1, 3], (0b10, 0)),
+               "not nilpotent": (1, 2, [1], (1,))}
 
 
 @pytest.mark.parametrize("case", NOT_MODULES)
 def test_decompose_rejects_non_modules(case):
     n, ell, vv, D = NOT_MODULES[case]
     with pytest.raises(ValueError, match="decompose"):
-        modcat.decompose(vv, np.array(D, dtype=np.int64), Algebra(n, ell))
+        modcat.decompose(vv, D, Algebra(n, ell))
+    with pytest.raises(ValueError, match="decompose"):
+        ref.decompose(vv, dense(D, len(vv)), Algebra(n, ell))
 
 
 def test_decompose_rejects_non_modules_under_optimize():
     # the checks are exceptions, not asserts, so python -O keeps them
     script = (
-        "import sys, numpy as np\n"
+        "import sys\n"
         "from smstilt.modcat import Algebra, decompose\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit('not running under -O')\n"
         f"for n, ell, vv, D in {list(NOT_MODULES.values())!r}:\n"
         "    try:\n"
-        "        decompose(vv, np.array(D, dtype=np.int64), Algebra(n, ell))\n"
+        "        decompose(vv, D, Algebra(n, ell))\n"
         "    except ValueError:\n"
         "        continue\n"
         "    sys.exit(f'accepted {vv} {D}')\n"
@@ -325,14 +368,13 @@ def _iso_exists(X, Y, A, p=2):
     """Oracle: search all intertwiners X -> Y for an invertible one."""
     if modcat.sum_dim(X) != modcat.sum_dim(Y):
         return False
-    basis = hom_basis(X, Y, A)
+    basis = ref.hom_basis(X, Y, A)
     d = modcat.sum_dim(X)
-    from itertools import product
     for coeffs in product(range(p), repeat=len(basis)):
         F = np.zeros((d, d), dtype=np.int64)
         for c, f in zip(coeffs, basis):
             F = (F + c * f) % p
-        if gf.rank(F, p) == d:
+        if rank(F, p) == d:
             return True
     return False
 
@@ -352,23 +394,22 @@ def test_cone_nonzero_map_against_pushout_oracle():
     assert total == I.length + N.length - M.length
     # oracle: the claimed decomposition is isomorphic to itself realised
     # as an explicit quotient, via exhaustive intertwiner search
-    iota = modcat._hom_matrix(M, I, M.length)
-    F = np.concatenate([iota, g.matrix])
-    vv, DQ = modcat._quotient((I, N), F, A36)
+    iota = ref.hom_matrix(M, I, M.length)
+    F = np.concatenate([iota, dense(g.matrix, N.length)])
+    vv, DQ = ref.quotient((I, N), F, A36)
     # rebuild a concrete module from the claimed list and compare shift data
     X = tuple(sorted(claimed))
     assert sorted(vv) == sorted(modcat.vertex_vector(X, A36))
-    Dx = modcat.shift_matrix(X)
+    Dx = ref.shift_matrix(X)
     for k in range(1, A36.loewy + 1):
-        assert gf.rank(np.linalg.matrix_power(DQ, k) % 2) == \
-            gf.rank(np.linalg.matrix_power(Dx, k) % 2)
+        assert rank(np.linalg.matrix_power(DQ, k) % 2) == rank(np.linalg.matrix_power(Dx, k) % 2)
 
 
 def test_cone_of_zero_syzygy_returns_module():
     # cone of (Omega X -> 0) is stably X
     for M in [Ind(1, 2), Ind(2, 4), Ind(3, 1)]:
         OM = omega(M, A36)
-        g = ModMap((OM,), (), np.zeros((0, OM.length), dtype=np.int64))
+        g = ModMap((OM,), (), (0,) * OM.length)
         assert cone_of_stable_map(g, A36) == (M,)
 
 
@@ -385,22 +426,23 @@ def test_min_left_approx_trivial_cases():
 def _factors_through(g: ModMap, Z: Ind, C, A: Algebra, left: bool) -> bool:
     """Exhaustively: every map Z -> c (left) or c -> Z (right), c in C, lies
     in the span of the maps through g and those through a projective."""
+    G = dense(g.matrix, modcat.sum_dim(g.target))
     for c in C:
         if left:
-            basis = hom_basis((Z,), (c,), A)
-            span = [((u @ g.matrix) % 2).reshape(-1) for u in hom_basis(g.target, (c,), A)]
-            FR = modcat.factor_rows((Z,), (c,), A)
+            basis = ref.hom_basis((Z,), (c,), A)
+            span = [((u @ G) % 2).reshape(-1) for u in ref.hom_basis(g.target, (c,), A)]
+            FR = ref.factor_rows((Z,), (c,), A)
         else:
-            basis = hom_basis((c,), (Z,), A)
-            span = [((g.matrix @ v) % 2).reshape(-1) for v in hom_basis((c,), g.source, A)]
-            FR = modcat.factor_rows((c,), (Z,), A)
+            basis = ref.hom_basis((c,), (Z,), A)
+            span = [((G @ v) % 2).reshape(-1) for v in ref.hom_basis((c,), g.source, A)]
+            FR = ref.factor_rows((c,), (Z,), A)
         if not basis:
             continue
         span = np.concatenate([np.array(span, dtype=np.int64).reshape(-1, basis[0].size), FR])
-        base = gf.rank(span)
+        base = rank(span)
         for coeffs in product(range(2), repeat=len(basis)):
             h = sum(cf * f for cf, f in zip(coeffs, basis)) % 2
-            if gf.rank(np.concatenate([span, h.reshape(1, -1)])) != base:
+            if rank(np.concatenate([span, h.reshape(1, -1)])) != base:
                 return False
     return True
 
@@ -410,9 +452,10 @@ def _drop_summand(g: ModMap, k: int, left: bool) -> ModMap:
     offs = modcat.sum_offsets(X)
     keep = [i for i in range(offs[-1]) if not offs[k] <= i < offs[k + 1]]
     X2 = X[:k] + X[k + 1:]
+    G = dense(g.matrix, modcat.sum_dim(g.target))
     if left:
-        return ModMap(g.source, X2, g.matrix[keep])
-    return ModMap(X2, g.target, g.matrix[:, keep])
+        return ModMap(g.source, X2, columns(G[keep]))
+    return ModMap(X2, g.target, columns(G[:, keep]))
 
 
 @pytest.mark.parametrize("n, ell, most", [(2, 4, 2), (3, 3, 3), (3, 6, 1)],
@@ -452,7 +495,6 @@ def test_extension_middle_terms_examples():
 def _brute_middle_terms(B, C, A):
     """Oracle: enumerate summand multisets with the right graded dimensions
     and search injections B -> E with quotient isomorphic to C."""
-    from itertools import combinations_with_replacement, product
     want = sorted(modcat.vertex_vector(B, A) + modcat.vertex_vector(C, A))
     total = len(want)
     out = set()
@@ -461,17 +503,17 @@ def _brute_middle_terms(B, C, A):
         for E in combinations_with_replacement(pool, k):
             if sorted(modcat.vertex_vector(E, A)) != want:
                 continue
-            basis = hom_basis(B, E, A)
+            basis = ref.hom_basis(B, E, A)
             dB = modcat.sum_dim(B)
             found = False
             for coeffs in product(range(2), repeat=len(basis)):
                 F = np.zeros((modcat.sum_dim(E), dB), dtype=np.int64)
                 for c, f in zip(coeffs, basis):
                     F = (F + c * f) % 2
-                if gf.rank(F) != dB:
+                if rank(F) != dB:
                     continue
-                vv, DQ = modcat._quotient(E, F, A)
-                mult = modcat.decompose(vv, DQ, A)
+                vv, DQ = ref.quotient(E, F, A)
+                mult = ref.decompose(vv, DQ, A)
                 quot = []
                 for ind in sorted(mult):
                     quot.extend([ind] * mult[ind])
@@ -534,37 +576,36 @@ def _pushout_middle_terms(B, C, A, p=2):
         return {C}
     OC = tuple(omega(c, A) for c in C)
     Ps, _ = _proj_cover_sum(C, A)
-    ooffs, poffs = modcat.sum_offsets(OC), modcat.sum_offsets(Ps)
-    iota = np.zeros((modcat.sum_dim(Ps), modcat.sum_dim(OC)), dtype=np.int64)
-    for k, oc in enumerate(OC):
-        iota[poffs[k]:poffs[k + 1], ooffs[k]:ooffs[k + 1]] = modcat._hom_matrix(oc, Ps[k], oc.length)
-    reps = modcat.stable_reps(OC, B, A, p)
+    iota = ref.diagonal(OC, Ps)
+    reps = [dense(f, modcat.sum_dim(B)) for f in modcat.stable_reps(OC, B, A, p)]
     out = set()
     for coeffs in product(range(p), repeat=len(reps)):
         theta = np.zeros((modcat.sum_dim(B), modcat.sum_dim(OC)), dtype=np.int64)
         for c, rep in zip(coeffs, reps):
             theta = (theta + c * rep) % p
-        vv, DQ = modcat._quotient(B + Ps, np.concatenate([theta, iota]), A, p)
-        mult = modcat.decompose(vv, DQ, A, p)
+        vv, DQ = ref.quotient(B + Ps, np.concatenate([theta, iota]), A, p)
+        mult = ref.decompose(vv, DQ, A, p)
         out.add(tuple(ind for ind in sorted(mult) for _ in range(mult[ind])))
     return out
 
 
 def _closure_visits(A, most, monkeypatch):
     """Every (B, (s,)) that `closure_inds` passes to `_core_middle_terms`
-    for the unions of at most `most` nu-orbits of every configuration of A."""
+    for the unions of at most `most` nu-orbits of every configuration of A,
+    with the answer it got, computed once per pair."""
     subsets = set()
     for S in enumerate_configurations(A):
         orbits = nu_orbits_points(S)
         for r in range(1, min(most, len(orbits)) + 1):
             for Ks in combinations(orbits, r):
                 subsets.add(tuple(sorted(Ind(*q) for orbit in Ks for q in orbit)))
-    visits = set()
+    visits = {}
     real = modcat._core_middle_terms
 
     def record(B, C, A, p=2):
-        visits.add((B, C))
-        return real(B, C, A, p)
+        if (B, C) not in visits:
+            visits[B, C] = real(B, C, A, p)
+        return visits[B, C]
 
     with monkeypatch.context() as m:
         m.setattr(modcat, "_core_middle_terms", record)
@@ -583,8 +624,8 @@ def test_core_middle_terms_match_pushout_loop(n, ell, most, monkeypatch):
     split = [(B, C) for B, C in visits if B and not stable_hom_dim(
         tuple(omega(c, A) for c in C), B, A)]
     assert split and len(split) < len(visits)  # both kinds of case are covered
-    for B, C in sorted(visits):
-        assert _core_middle_terms(B, C, A) == _pushout_middle_terms(B, C, A), (B, C)
+    for (B, C), got in sorted(visits.items()):
+        assert got == _pushout_middle_terms(B, C, A), (B, C)
 
 
 def test_core_middle_terms_match_pushout_loop_examples():
@@ -598,8 +639,9 @@ def test_core_middle_terms_match_pushout_loop_examples():
 
 
 def _pushout_cone(g, A, p):
-    """Reference: the cone read off the pushout, projectives dropped."""
-    mult = modcat.pushout_decompose(g, A, p)
+    """Reference: the cone read off the dense pushout, projectives dropped."""
+    mult = ref.pushout_decompose(dense(g.matrix, modcat.sum_dim(g.target)), g.source, g.target,
+                                 A, p)
     return tuple(ind for ind in sorted(mult) if not modcat.is_projective(ind, A)
                  for _ in range(mult[ind]))
 
@@ -613,8 +655,8 @@ def test_cones_of_zero_maps_match_pushout(n, ell, p):
     sums = [(M,) for M in inds] + list(combinations_with_replacement(inds, 2))
     for X in sums:
         d = modcat.sum_dim(X)
-        to_zero = ModMap(X, (), np.zeros((0, d), dtype=np.int64), p)
-        from_zero = ModMap((), X, np.zeros((d, 0), dtype=np.int64), p)
+        to_zero = ModMap(X, (), (0,) * d, p)
+        from_zero = ModMap((), X, (), p)
         ref_to, ref_from = _pushout_cone(to_zero, A, p), _pushout_cone(from_zero, A, p)
         assert cone_of_stable_map(to_zero, A, p) == ref_to, X
         assert cone_of_stable_map(from_zero, A, p) == ref_from, X

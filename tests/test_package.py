@@ -102,6 +102,18 @@ def test_memo_caches_expose_cache_info_and_start_cold():
     assert set(names) <= set(scanned) and not any(scanned.values())
 
 
+def test_package_imports_no_numpy():
+    # the package is pure Python: importing it and its command line loads no
+    # numpy, so a stray import anywhere on that path fails here
+    script = ("import sys, smstilt, smstilt.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_bench_records_parse_with_required_fields():
     # each committed benchmark record names itself, its machine and the
     # line count of src/smstilt/*.py before and after its change

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from smstilt import brauer, complexes as cx, gf, modcat, smscfg, transport
+from smstilt import brauer, complexes as cx, modcat, smscfg, transport
 from smstilt.cli import main
 from smstilt.complexes import Arrow, Stalk, TwoTerm
 from smstilt.modcat import Algebra, Ind, _bar
@@ -12,6 +12,8 @@ from smstilt.transport import (_anchor, _fmap_cached, _folded_label, _parent,
                                canonical_sequence, exchange_quiver, fmap, fmap_tracked,
                                two_term_objects, verify)
 
+from _gf_reference import rank as ref_rank
+from _modcat_reference import hom_basis
 from _transport_reference import all_summands, bfs_sequence, exchange_arrows, transport_along
 
 A36 = Algebra(3, 6)
@@ -158,13 +160,13 @@ def _derived_hom(t, M, A):
     from module maps: a stalk gives Hom(P_i, M) in its degree, an arrow
     P_a -> P_b the kernel and cokernel of Hom(P_b, M) -> Hom(P_a, M)."""
     if isinstance(t, Stalk):
-        d = len(modcat.hom_basis(modcat.proj_of_top(t.idx, A), M, A))
+        d = len(hom_basis(modcat.proj_of_top(t.idx, A), M, A))
         return (d, 0) if t.deg == 0 else (0, d)
     Pa, Pb = modcat.proj_of_top(t.src, A), modcat.proj_of_top(t.tgt, A)
     depth = cx._min_pos_degree(t.src, t.tgt, A)
-    g = next(h for h in modcat.hom_basis(Pa, Pb, A) if h.sum() == A.loewy - depth)
-    fb, fa = modcat.hom_basis(Pb, M, A), modcat.hom_basis(Pa, M, A)
-    rank = gf.rank(np.array([(f @ g % 2).ravel() for f in fb])) if fb else 0
+    g = next(h for h in hom_basis(Pa, Pb, A) if h.sum() == A.loewy - depth)
+    fb, fa = hom_basis(Pb, M, A), hom_basis(Pa, M, A)
+    rank = ref_rank(np.array([(f @ g % 2).ravel() for f in fb])) if fb else 0
     return (len(fb) - rank, len(fa) - rank)
 
 
