@@ -361,10 +361,19 @@ def is_tilting(T: TwoTerm) -> bool:
     return is_silting(T) and nu_complex(T) == T
 
 
-def nu_orbits(T: TwoTerm) -> list[frozenset]:
-    """Partition of the summands into Nakayama orbits."""
-    return _orbits(T.summands, lambda s: nu_summand(s, T.algebra),
-                   "complex is not Nakayama-stable")
+@lru_cache(maxsize=None)
+def _summand_table(A: Algebra):
+    """(summands, index, orbits): every indecomposable two-term summand over
+    A in `sort_key` order, the position of each, and per position the
+    bitmask of its Nakayama orbit, the nu^k s = sigma^(-k ell) s for k < n.
+    nu permutes the summands, so no orbit depends on the complex."""
+    n = A.n
+    summands = [Stalk(i, d) for d in (-1, 0) for i in range(1, n + 1)]
+    summands += [Arrow(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+                 if _min_pos_degree(a, b, A) <= A.ell]
+    index = {s: k for k, s in enumerate(summands)}
+    return tuple(summands), index, tuple(sum({1 << index[_rotate(s, -k * A.ell, A)]
+                                              for k in range(n)}) for s in summands)
 
 
 # -- the maps phi from triangulations ----------------------------------------

@@ -123,11 +123,8 @@ def _derived_columns(A: Algebra):
         d = complexes._min_pos_degree(s.src, s.tgt, A)
         return count(s.tgt, M, M.length - d, M.length), count(s.src, M, 0, d)
 
-    summands = [complexes.Stalk(i, deg) for i in range(1, n + 1) for deg in (0, -1)]
-    summands += [complexes.Arrow(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
-                 if complexes._min_pos_degree(a, b, A) <= A.ell]
     columns = {}
-    for s in summands:
+    for s in complexes._summand_table(A)[0]:
         homs = [hom(s, M) for M in mods]
         columns[s] = tuple(sum(1 << k for k, h in enumerate(homs) if test(h))
                            for test in ((1, 0).__eq__, (0, 1).__eq__, any))
@@ -200,24 +197,36 @@ def exchange_quiver(kind: str, A: Algebra) -> ExchangeQuiver:
         # completions T = (T - X) + X and (T - X) + Y (Adachi-Iyama-Reiten).
         # The exchange triangle X -> E -> Y -> X[1] makes the second the left
         # mutation of T at X exactly when Hom_K(Y, X[1]) != 0 (Aihara-Iyama).
-        # T - X is keyed as a tuple in `sort_key` order, as T's summands are.
+        # Summand sets are bitmasks over `_summand_table`, and T's orbits are
+        # peeled lowest bit first, so in order of first member by `sort_key`.
         objs = two_term_objects(A)
-        completions, mutable, arrows = {}, [], []
+        summands, index, orbit_of = complexes._summand_table(A)
+        labels, completions, mutable, oriented, arrows = {}, {}, [], {}, []
         for i, T in enumerate(objs):
-            for orbit in complexes.nu_orbits(T):
-                X = tuple(sorted(orbit, key=lambda s: s.sort_key()))
-                pair = completions.setdefault(tuple(s for s in T.summands if s not in orbit), [])
+            mask = rest = sum({1 << index[s] for s in T.summands})
+            while rest:
+                X = orbit_of[(rest & -rest).bit_length() - 1]
+                if X & ~mask:
+                    raise ValueError("complex is not Nakayama-stable")
+                rest &= ~X
+                if X not in labels:
+                    labels[X] = tuple(s for k, s in enumerate(summands) if X >> k & 1)
+                pair = completions.setdefault(mask & ~X, [])
                 pair.append((i, X))
                 mutable.append((i, X, pair))
         for i, X, pair in mutable:
             if len(pair) != 2:
-                at = json.dumps({"complex": objs[i].to_json(), "orbit": [s.to_json() for s in X]},
+                at = json.dumps({"complex": objs[i].to_json(),
+                                 "orbit": [s.to_json() for s in labels[X]]},
                                 sort_keys=True, separators=(",", ":"))
                 raise RuntimeError(f"{len(pair)} two-term tilting completions, not 2, "
                                    f"of the complex minus the orbit: {at}")
             j, Y = pair[1] if pair[0][0] == i else pair[0]
-            if any(complexes._summand_hom(y, x, 1, A)[0].dim for y in Y for x in X):
-                arrows.append((i, j, X))
+            if (Y, X) not in oriented:
+                oriented[Y, X] = any(complexes._summand_hom(y, x, 1, A)[0].dim
+                                     for y in labels[Y] for x in labels[X])
+            if oriented[Y, X]:
+                arrows.append((i, j, labels[X]))
         return ExchangeQuiver(kind, objs, tuple(arrows))
     if kind == "sms":
         objs = smscfg.enumerate_configurations(A)

@@ -2,7 +2,9 @@
 mutation path to each complex, and its replay on the sms side.  `fmap` reads
 each image off the stable equivalence instead, so the two routes share no
 mutation.  `all_summands` lists the indecomposable two-term complexes, for the
-brute-force checks over their n-subsets.  `exchange_arrows` mutates every
+brute-force checks over their n-subsets, and `nu_orbits` partitions a complex
+into its Nakayama orbits, the reference for the orbit bitmasks of
+`complexes._summand_table`.  `exchange_arrows` mutates every
 complex at every orbit by cones, the reference for `exchange_quiver`, which
 joins the two completions of each complex minus one orbit and computes no
 cone."""
@@ -12,6 +14,7 @@ from collections import deque
 
 from smstilt import complexes as cx, disc, smscfg
 from smstilt.complexes import Arrow, Stalk, TwoTerm
+from smstilt.modcat import _orbits
 from smstilt.smscfg import Configuration
 from smstilt.transport import _anchor, two_term_objects
 
@@ -25,6 +28,13 @@ def all_summands(A) -> list:
     return out
 
 
+def nu_orbits(T: TwoTerm) -> list[frozenset]:
+    """Partition of the summands into Nakayama orbits, in order of first
+    member."""
+    return _orbits(T.summands, lambda s: cx.nu_summand(s, T.algebra),
+                   "complex is not Nakayama-stable")
+
+
 def exchange_arrows(A) -> tuple:
     """The arrows of the 2-tilt exchange quiver: each object mutated at each
     of its Nakayama orbits, with no rotation."""
@@ -32,7 +42,7 @@ def exchange_arrows(A) -> tuple:
     index = {T: i for i, T in enumerate(objs)}
     arrows = []
     for i, T in enumerate(objs):
-        for orbit in cx.nu_orbits(T):
+        for orbit in nu_orbits(T):
             R = cx.two_term_mutate_tracked(T, orbit, "minus")[0]
             if R is None:
                 continue
@@ -60,7 +70,7 @@ def bfs_sequence(T: TwoTerm) -> list[frozenset]:
     queue = deque([anchor])
     while queue:
         U = queue.popleft()
-        for orbit in cx.nu_orbits(U):
+        for orbit in nu_orbits(U):
             R = cx.two_term_mutate_tracked(U, orbit, sign)[0]
             if R is None or R in seen:
                 continue

@@ -13,7 +13,7 @@ from smstilt import brauer, complexes as cx, disc, smscfg, transport
 from smstilt.complexes import Arrow, Stalk, TwoTerm
 from smstilt.modcat import Algebra
 
-from _transport_reference import bfs_sequence, transport_along
+from _transport_reference import bfs_sequence, nu_orbits, transport_along
 
 A36 = Algebra(3, 6)
 A33 = Algebra(3, 3)
@@ -70,7 +70,7 @@ def test_criterion_05_mutation_compatibility():
     edges = failures = 0
     for T in transport.two_term_objects(A36):
         C, corr = transport.fmap_tracked(T)
-        for orbit in cx.nu_orbits(T):
+        for orbit in nu_orbits(T):
             R = cx.two_term_mutate(T, orbit, "minus")
             if R is None:
                 continue

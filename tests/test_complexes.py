@@ -9,12 +9,12 @@ import pytest
 
 from smstilt import brauer, complexes as cx, disc, transport
 from smstilt.complexes import (Arrow, Stalk, TwoTerm, hom_complex_dim,
-                               is_silting, is_tilting, nu_complex, nu_orbits,
+                               is_silting, is_tilting, nu_complex,
                                phi, phi_inv, two_term_mutate, twoterm_from_json)
 from smstilt.modcat import Algebra
 
 from _gf_reference import independent_mod, nullspace, reduce_rows, rref, unpacked
-from _transport_reference import all_summands, bfs_sequence
+from _transport_reference import all_summands, bfs_sequence, nu_orbits
 
 A36 = Algebra(3, 6)
 
@@ -228,6 +228,36 @@ def test_nu_orbits():
     orbits = nu_orbits(stalk_complex(A42))
     assert sorted(len(o) for o in orbits) == [2, 2]
     assert all(len(o) == 1 for o in nu_orbits(stalk_complex(A36)))
+
+
+@pytest.mark.parametrize("n, ell", [(1, 2), (2, 4), (3, 6), (4, 2), (6, 9)])
+def test_summand_table_lists_every_summand_in_sort_key_order(n, ell):
+    A = Algebra(n, ell)
+    summands, index, orbits = cx._summand_table(A)
+    assert list(summands) == sorted(all_summands(A), key=lambda s: s.sort_key())
+    assert index == {s: k for k, s in enumerate(summands)} and len(orbits) == len(summands)
+
+
+@pytest.mark.parametrize("n, ell", [(4, 2), (6, 4), (6, 9), (9, 6), (10, 15)])
+def test_summand_table_orbits_match_the_reference(n, ell):
+    # nu is not the identity on these algebras; peeling each complex's mask
+    # lowest bit first, as exchange_quiver does, gives its reference orbits
+    # as the same sets in the same order
+    A = Algebra(n, ell)
+    summands, index, orbits = cx._summand_table(A)
+    nontrivial = False
+    for T in transport.two_term_objects(A):
+        rest, peeled = sum(1 << index[s] for s in T.summands), []
+        while rest:
+            X = orbits[(rest & -rest).bit_length() - 1]
+            peeled.append(frozenset(s for k, s in enumerate(summands) if X >> k & 1))
+            rest &= ~X
+        want = nu_orbits(T)
+        assert peeled == want
+        nontrivial |= any(len(o) > 1 for o in want)
+        for o in want:
+            assert {orbits[index[s]] for s in o} == {sum(1 << index[s] for s in o)}
+    assert nontrivial
 
 
 def test_paper_replay_sequence():

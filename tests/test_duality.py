@@ -11,6 +11,8 @@ from smstilt import complexes as cx, smscfg, transport
 from smstilt.complexes import Arrow, Stalk, TwoTerm
 from smstilt.modcat import Algebra, _bar
 
+from _transport_reference import nu_orbits
+
 ALGEBRAS = [(2, 4), (3, 3), (3, 6), (4, 4), (4, 8), (6, 9), (5, 10)]
 
 
@@ -38,7 +40,7 @@ def _plus_by_duality_mismatches(A):
                 bad.append((C, sorted(K)))
     for T in transport.two_term_objects(A):
         dual = TwoTerm(A, tuple(_dual_summand(s, A) for s in T.summands))
-        for orbit in cx.nu_orbits(T):
+        for orbit in nu_orbits(T):
             U, rep = cx.two_term_mutate_tracked(dual, {_dual_summand(s, A) for s in orbit}, "minus")
             if U is None:
                 want = (None, None)

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from smstilt import complexes as cx, smscfg, transport
 from smstilt.modcat import Algebra
 
+from _transport_reference import nu_orbits
+
 OPPOSITE = {"minus": "plus", "plus": "minus"}
 WALKS = settings(derandomize=True, deadline=None, max_examples=100)
 ALGEBRAS = st.builds(Algebra, st.integers(1, 6), st.integers(1, 6))
@@ -18,7 +20,7 @@ SIGNS = st.sampled_from(("minus", "plus"))
 def test_complex_mutation_walk_returns(A, steps, data):
     T = data.draw(st.sampled_from(transport.two_term_objects(A)))
     for _ in range(steps):
-        orbit = data.draw(st.sampled_from(cx.nu_orbits(T)))
+        orbit = data.draw(st.sampled_from(nu_orbits(T)))
         sign = data.draw(SIGNS)
         U, replaced = cx.two_term_mutate_tracked(T, orbit, sign)
         if U is None:  # the mutation leaves the two-term window

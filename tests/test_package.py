@@ -48,6 +48,7 @@ def test_no_uncalled_definitions():
 # and documented there on purpose
 MEMO_CACHES = [
     "complexes._mutate_summand", "complexes._summand_complex", "complexes._summand_hom_in_frame",
+    "complexes._summand_table",
     "disc.enumerate_triangulations",
     "modcat._stable_hom_core", "modcat.closure_inds",
     "smscfg._mutate_point_in_frame", "smscfg._stable_table",

@@ -14,7 +14,8 @@ from smstilt.transport import (_anchor, _fmap_cached, _folded_label, _parent,
 
 from _gf_reference import rank as ref_rank
 from _modcat_reference import hom_basis
-from _transport_reference import all_summands, bfs_sequence, exchange_arrows, transport_along
+from _transport_reference import (all_summands, bfs_sequence, exchange_arrows, nu_orbits,
+                                  transport_along)
 
 A36 = Algebra(3, 6)
 
@@ -149,7 +150,7 @@ def test_canonical_sequences_form_a_tree(n, ell):
             continue
         assert cx.part_of(R) == sign and set(replaced) < set(T.summands)
         assert canonical_sequence(R) == canonical_sequence(T)[:-1]
-        for orbit in cx.nu_orbits(T):
+        for orbit in nu_orbits(T):
             assert {corr[s] for s in orbit} == {corr0[s] for s in orbit}
         differs += corr != corr0
     assert differs == REPLAY_DIFFERS[(n, ell)]
@@ -293,7 +294,7 @@ def test_correspondence_tracks_mutation():
     for T in two_term_objects(A36):
         C, corr = fmap_tracked(T)
         assert set(corr.values()) == set(C.points)
-        for orbit in cx.nu_orbits(T):
+        for orbit in nu_orbits(T):
             R = cx.two_term_mutate(T, orbit, "minus")
             if R is None:
                 continue
@@ -331,7 +332,7 @@ def test_exchange_quivers():
 
 
 QUIVER_ALGEBRAS = [(2, 4), (3, 3), (3, 6), (4, 2), (4, 4), (4, 6), (6, 4), (6, 9), (4, 8),
-                   (5, 10)]
+                   (5, 10), (9, 6), (8, 12), (10, 15)]
 
 
 @pytest.mark.parametrize("n, ell", QUIVER_ALGEBRAS)
@@ -364,6 +365,18 @@ def test_exchange_quiver_refuses_a_missing_completion(monkeypatch):
         exchange_quiver("2tilt", A36)
     at = json.loads(str(err.value).split(": ", 1)[1])
     assert at == {"complex": T.to_json(), "orbit": [s.to_json() for s in X]}
+
+
+def test_exchange_quiver_refuses_a_complex_that_is_not_nu_stable(monkeypatch):
+    # on A_6^9 nu swaps P_1 and P_4, so a complex holding the stalk P_1 but
+    # not P_4 in the same degree contains only part of an orbit
+    A = Algebra(6, 9)
+    bad = TwoTerm(A, (Stalk(1, 0), Stalk(2, 0), Stalk(3, 0), Stalk(4, -1), Stalk(5, 0),
+                      Stalk(6, 0)))
+    objs = two_term_objects(A) + (bad,)
+    monkeypatch.setattr(transport, "two_term_objects", lambda A: objs)
+    with pytest.raises(ValueError, match="complex is not Nakayama-stable"):
+        exchange_quiver("2tilt", A)
 
 
 def test_verify_suites_pass():
